@@ -228,7 +228,12 @@ def tomography_settings(n_b: int, restricted: bool = False) -> list:
 
 
 def compile_circuit(circuit: Circuit) -> Circuit:
-    """Attach native fragments to every gate op (required for noisy runs)."""
+    """Attach native fragments to every gate op (required for noisy runs).
+
+    Each distinct (unitary, wires) pair is decomposed once; the ops that
+    repeat it share the fragment.
+    """
+    fragments: dict = {}
     ops = []
     for op in circuit.ops:
         if op.kind == "gate" and op.fragment is None:
@@ -236,9 +241,12 @@ def compile_circuit(circuit: Circuit) -> Circuit:
                 raise BondsimError(
                     "cannot compile a three-qubit gate to native form; "
                     "use a tiled layout")
-            frag = decompose_to_native(np.asarray(op.unitary, dtype=complex),
-                                       wires=op.wires, n_wires=circuit.n_wires)
-            ops.append(replace(op, fragment=frag))
+            u = np.asarray(op.unitary, dtype=complex)
+            key = (u.tobytes(), op.wires)
+            if key not in fragments:
+                fragments[key] = decompose_to_native(
+                    u, wires=op.wires, n_wires=circuit.n_wires)
+            ops.append(replace(op, fragment=fragments[key]))
         else:
             ops.append(op)
     return Circuit(n_wires=circuit.n_wires, ops=tuple(ops),

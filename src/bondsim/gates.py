@@ -36,6 +36,11 @@ def rz(theta: float) -> np.ndarray:
     return rot("z", theta)
 
 
+def native_gate(name: str, angle: float | None = None) -> np.ndarray:
+    """Matrix of one native op: "rx"/"ry"/"rz" at `angle`, or "uzz"."""
+    return UZZ if name == "uzz" else rot(name[1], angle)
+
+
 def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = mats[0]
     for m in mats[1:]:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import CZ, H, I2, UZZ, X, Y, Z, embed, global_phase_distance, rx, ry, rz
+from .gates import (CZ, H, I2, X, Y, Z, embed, global_phase_distance,
+                    native_gate, rx, ry, rz)
 
 __all__ = [
     "NativeCircuitFragment",
@@ -39,9 +40,6 @@ _MAGIC = np.array(
     dtype=complex,
 ) / np.sqrt(2)
 
-_ROT = {"rx": rx, "ry": ry, "rz": rz}
-
-
 @dataclass
 class NativeCircuitFragment:
     """Ordered native ops plus an explicit global phase.
@@ -62,8 +60,7 @@ class NativeCircuitFragment:
         dim = 2 ** self.n_wires
         u = np.eye(dim, dtype=complex) * self.phase
         for name, wires, angle in self.ops:
-            g = UZZ if name == "uzz" else _ROT[name](angle)
-            u = embed(g, tuple(wires), self.n_wires) @ u
+            u = embed(native_gate(name, angle), tuple(wires), self.n_wires) @ u
         return u
 
     def to_json(self) -> list:

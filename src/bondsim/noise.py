@@ -64,43 +64,28 @@ class NoiseModel:
 
 def depolarize(rho: np.ndarray, wires: tuple, p: float,
                n_wires: int | None = None) -> np.ndarray:
-    """rho -> (1-p) rho + p (Tr_wires rho) x I/d on the targeted wires."""
+    """rho -> (1-p) rho + p (Tr_wires rho) x I/d on the targeted wires.
+
+    rho may carry leading batch axes, shape (..., 2^n, 2^n); every matrix in
+    the batch gets the same channel.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     if p == 0.0:
         return rho
     if n_wires is None:
-        n_wires = int(np.log2(rho.shape[0]))
-    axes = list(range(n_wires))
-    t = rho.reshape((2,) * (2 * n_wires))
-    # Trace out the targeted wires, then re-insert I/2 tensor factors.
-    mixed = t
-    remaining = list(axes)
-    for w in sorted(wires, reverse=True):
-        i = remaining.index(w)
-        mixed = np.trace(mixed, axis1=i, axis2=len(remaining) + i)
-        remaining.remove(w)
-    # mixed now lives on the remaining wires; rebuild the full tensor.
-    keep = [w for w in axes if w not in wires]
-    eye = np.eye(2) / 2
-    full = mixed
-    for _ in wires:
-        full = np.tensordot(full, eye, axes=0)
-    # full has row/col axes interleaved per block: (keep_rows, keep_cols,
-    # then one (row, col) pair per mixed-in wire).  Permute back to
-    # (all rows in wire order, all cols in wire order).
-    n_keep = len(keep)
-    row_src = {}
-    col_src = {}
-    for i, w in enumerate(keep):
-        row_src[w] = i
-        col_src[w] = n_keep + i
-    for i, w in enumerate(sorted(wires)):
-        row_src[w] = 2 * n_keep + 2 * i
-        col_src[w] = 2 * n_keep + 2 * i + 1
-    perm = [row_src[w] for w in axes] + [col_src[w] for w in axes]
-    full = full.transpose(perm).reshape(rho.shape)
-    return (1.0 - p) * rho + p * full
+        n_wires = int(np.log2(rho.shape[-1]))
+    mixed = rho
+    for w in wires:
+        # Trace out one wire and put I/2 back in its place.  Wire 0 is the
+        # most significant bit of the basis-state index.
+        lo, hi = 2 ** w, 2 ** (n_wires - 1 - w)
+        t = mixed.reshape(rho.shape[:-2] + (lo, 2, hi, lo, 2, hi))
+        mixed = np.zeros_like(t)
+        mixed[..., :, 0, :, :, 0, :] = mixed[..., :, 1, :, :, 1, :] = 0.5 * (
+            t[..., :, 0, :, :, 0, :] + t[..., :, 1, :, :, 1, :])
+        mixed = mixed.reshape(rho.shape)
+    return (1.0 - p) * rho + p * mixed
 
 
 def _fold_fragment(frag: NativeCircuitFragment) -> NativeCircuitFragment:

@@ -1,31 +1,44 @@
-"""Exact and stochastic simulation of MCMR state-preparation circuits.
+"""Exact simulation of MCMR state-preparation circuits, and shots drawn from it.
 
-Two engines share the circuit format:
+One engine, `_evolve`, computes the exact joint distribution of a circuit's
+labelled outcomes and its leak flag.  Its state is a stack of density
+matrices indexed by the labelled outcomes recorded so far and by a classical
+leak register: a current-leak flag per wire plus one "ever leaked" bit.
+Every noise rule is a CPTP map, or an instrument on that register:
 
-* simulate_exact: deterministic density-matrix evolution.  Labeled
-  measurements are handled with a small branch register (the state splits on
-  each labeled outcome) so exact marginals and pair products are available
-  without sampling.  Leakage enters only as an accumulated retention factor.
-* sample_shots: vectorized pure-state trajectories with stochastically
-  inserted Pauli noise, Born-rule collapse, and per-wire leak flags.  Bit
-  identical for a fixed seed.
+* each U_zz leaks each of its wires with probability p_leak, which sets the
+  wire's flag and the ever bit;
+* rotations, U_zz and their p1/p2 depolarizing skip leaked wires, and a U_zz
+  with exactly one leaked wire fully depolarizes its clean partner;
+* measuring a leaked wire dephases it and records +-1 with probability 1/2;
+* reset clears the wire's flag but not the ever bit;
+* each measurement or reset of the system qubit depolarizes every unleaked
+  bond wire (eps_meas, eps_reset);
+* leak_check records the ever bit (-1 = leaked).
+
+simulate_exact reads marginals, pair products, retention and the bond state
+off that distribution; sample_shots makes one seeded draw of shots from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .circuits import BASIS_ROTATION, Circuit, compile_circuit
-from .gates import PAULI, UZZ, X, embed, rx, ry, rz
+from .circuits import Circuit, compile_circuit
+from .gates import PAULI, embed, native_gate
 from .mps import BondsimError
 from .noise import NoiseModel, depolarize
 
 __all__ = ["ShotRecord", "SimResult", "sample_shots", "simulate_exact",
            "shots_to_csv"]
 
-_ROT = {"rx": rx, "ry": ry, "rz": rz}
+# Kraus operators of a reset to |0>: |0><0| and |0><1|.
+_RESET_KRAUS = (np.array([[1, 0], [0, 0]], dtype=complex),
+                np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -35,7 +48,7 @@ class SimResult:
     bond_rho: np.ndarray          # bond-register density matrix (system traced)
     marginals: dict               # label -> exact <outcome>
     pair_products: dict           # (label_a, label_b) -> exact <o_a o_b>
-    retention: float              # expected leak-free fraction
+    retention: float              # probability that the shot never leaked
 
 
 @dataclass(frozen=True)
@@ -45,8 +58,15 @@ class ShotRecord:
     seed: int
 
 
-def _embedded(op: np.ndarray, wires: tuple, n_wires: int) -> np.ndarray:
-    return embed(op, tuple(wires), n_wires)
+@dataclass(frozen=True)
+class _Distribution:
+    """Exact joint distribution of one circuit's (labelled outcomes, leaked)."""
+
+    labels: list                  # label of each outcome column, in op order
+    outcomes: np.ndarray          # (cells, labels) int8 of +1 / -1
+    leaked: np.ndarray            # (cells,) bool: the shot ever leaked
+    probs: np.ndarray             # (cells,) probability of each cell
+    bond_rho: np.ndarray          # bond state at the leak check, or at the end
 
 
 def _ptrace_wire(rho: np.ndarray, wire: int, n_wires: int) -> np.ndarray:
@@ -56,290 +76,174 @@ def _ptrace_wire(rho: np.ndarray, wire: int, n_wires: int) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def _reset_wire(rho: np.ndarray, wire: int, n_wires: int) -> np.ndarray:
-    """Trace out a wire and reinitialize it in |0>."""
-    reduced = _ptrace_wire(rho, wire, n_wires)
-    d = reduced.shape[0]
-    zero = np.zeros((2, 2), dtype=complex)
-    zero[0, 0] = 1.0
-    t = np.tensordot(zero, reduced.reshape((2,) * (2 * (n_wires - 1))), axes=0)
-    # axes: (r_w, c_w, r_rest..., c_rest...) -> interleave back.
-    rest = [w for w in range(n_wires) if w != wire]
-    src_row = {wire: 0}
-    src_col = {wire: 1}
-    for i, w in enumerate(rest):
-        src_row[w] = 2 + i
-        src_col[w] = 2 + (n_wires - 1) + i
-    perm = [src_row[w] for w in range(n_wires)] + [src_col[w] for w in range(n_wires)]
-    return t.transpose(perm).reshape(rho.shape)
-
-
-# ---------------------------------------------------------------------------
-# exact mode
-
-
-def _exact_gate(branches, op, noise: NoiseModel, n_wires: int):
-    dim = 2 ** n_wires
-    if noise.trivial or op.fragment is None:
-        u = _embedded(np.asarray(op.unitary, dtype=complex), op.wires, n_wires)
-        return [(w, u @ r @ u.conj().T, o) for w, r, o in branches], 1.0
-    retention = 1.0
-    for name, wires, angle in op.fragment.ops:
-        g = UZZ if name == "uzz" else _ROT[name](angle)
-        u = _embedded(g, wires, n_wires)
-        branches = [(w, u @ r @ u.conj().T, o) for w, r, o in branches]
-        p = noise.p2 if name == "uzz" else noise.p1
-        if p > 0.0:
-            branches = [(w, depolarize(r, wires, p, n_wires), o)
-                        for w, r, o in branches]
-        if name == "uzz":
-            retention *= (1.0 - noise.p_leak) ** 2
-    return branches, retention
-
-
-def _exact_measure(branches, op, noise: NoiseModel, n_wires: int):
-    pauli = _embedded(PAULI[op.basis], op.wires, n_wires)
-    dim = 2 ** n_wires
-    proj = {+1: (np.eye(dim) + pauli) / 2, -1: (np.eye(dim) - pauli) / 2}
-    out = []
-    for w, r, o in branches:
-        for s in (+1, -1):
-            rr = proj[s] @ r @ proj[s]
-            p = np.trace(rr).real
-            if w * p > 1e-15:
-                out.append((w * p, rr / p, {**o, op.label: s}))
-    if op.wires[0] == 0 and noise.eps_meas > 0.0:
-        out = [(w, _spectator(r, noise.eps_meas, n_wires), o) for w, r, o in out]
-    return out
-
-
-def _spectator(rho: np.ndarray, eps: float, n_wires: int) -> np.ndarray:
-    for w in range(1, n_wires):
-        rho = depolarize(rho, (w,), eps, n_wires)
+def _on(rho: np.ndarray, sel: np.ndarray, fn) -> np.ndarray:
+    """Apply fn to the leak-register states that the boolean `sel` picks."""
+    if sel.all():
+        return fn(rho)
+    if sel.any():
+        rho[:, sel] = fn(rho[:, sel])
     return rho
 
 
-def simulate_exact(circuit: Circuit, noise: NoiseModel | None = None) -> SimResult:
-    """Deterministic density-matrix run; exact marginals for every label."""
-    noise = noise or NoiseModel.none()
-    if not noise.trivial:
+def _branch(rho, outcomes, parts):
+    """Split every branch in two by outcome +1 (parts[0]) and -1 (parts[1])."""
+    rho = np.stack(parts, axis=1).reshape((-1,) + rho.shape[1:])
+    signs = np.tile(np.array([1, -1], dtype=np.int8), len(outcomes))
+    return rho, np.column_stack([np.repeat(outcomes, 2, axis=0), signs])
+
+
+def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
+    """Exact distribution of (labelled outcomes, leaked) for one circuit."""
+    trivial = noise.trivial
+    if not trivial:
         circuit = compile_circuit(circuit)
-    n_wires = circuit.n_wires
-    dim = 2 ** n_wires
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    branches = [(1.0, rho0, {})]
-    retention = 1.0
-    leak_labels = []
-    snapshot = None  # bond state before any terminal tomography block
+    n = circuit.n_wires
+    dim = 2 ** n
+    # Leak register: state 0 never leaked; state 1 + m leaked at some point,
+    # with bitmask m of the wires leaked now.  No other state is reachable,
+    # and without leakage state 0 is the only one.
+    mask = np.arange(-1, 2 ** n) if noise.p_leak > 0.0 else np.array([-1])
+    n_reg = len(mask)
+    flagged = (mask[:, None] >= 0) & ((mask[:, None] >> np.arange(n)) & 1 > 0)
+
+    def move(dest: np.ndarray) -> np.ndarray:
+        """Register transition matrix sending state r to dest[r]."""
+        t = np.zeros((n_reg, n_reg))
+        t[dest, np.arange(n_reg)] = 1.0
+        return t
+
+    def leak(w: int) -> np.ndarray:
+        hit = move(1 + (np.maximum(mask, 0) | (1 << w)))
+        return (1.0 - noise.p_leak) * np.eye(n_reg) + noise.p_leak * hit
+
+    def clear(w: int) -> np.ndarray:
+        return move(np.where(mask < 0, 0, 1 + (mask & ~(1 << w))))
+
+    def shift(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        return (t @ rho.reshape(len(rho), n_reg, -1)).reshape(rho.shape)
+
+    def spectator(rho: np.ndarray, eps: float) -> np.ndarray:
+        if eps > 0.0:
+            for b in range(1, n):
+                rho = _on(rho, ~flagged[:, b],
+                          lambda r: depolarize(r, (b,), eps, n))
+        return rho
+
+    lifted: dict = {}
+    uzz_leak: dict = {}
+    kraus = [[embed(k, (w,), n) for k in _RESET_KRAUS] for w in range(n)]
+
+    def native(rho, name, wires, angle):
+        key = (name, wires, angle)
+        if key not in lifted:
+            lifted[key] = embed(native_gate(name, angle), wires, n)
+        u = lifted[key]
+        held = flagged[:, list(wires)]
+        p = noise.p2 if name == "uzz" else noise.p1
+        rho = _on(rho, ~held.any(axis=1),
+                  lambda r: depolarize(u @ r @ u.conj().T, wires, p, n))
+        if name == "uzz":
+            for a, b in ((0, 1), (1, 0)):
+                rho = _on(rho, held[:, a] & ~held[:, b],
+                          lambda r: depolarize(r, (wires[b],), 1.0, n))
+            if n_reg > 1:
+                if wires not in uzz_leak:
+                    uzz_leak[wires] = leak(wires[1]) @ leak(wires[0])
+                rho = shift(uzz_leak[wires], rho)
+        return rho
+
+    rho = np.zeros((1, n_reg, dim, dim), dtype=complex)
+    rho[0, 0, 0, 0] = 1.0
+    outcomes = np.zeros((1, 0), dtype=np.int8)
+    labels: list = []
+    snapshot = None
     for op in circuit.ops:
         if op.kind == "gate":
-            branches, ret = _exact_gate(branches, op, noise, n_wires)
-            retention *= ret
+            if trivial or op.fragment is None:
+                u = embed(np.asarray(op.unitary, dtype=complex), op.wires, n)
+                rho = u @ rho @ u.conj().T
+            else:
+                for name, wires, angle in op.fragment.ops:
+                    rho = native(rho, name, tuple(wires), angle)
         elif op.kind == "measure":
-            branches = _exact_measure(branches, op, noise, n_wires)
+            w = op.wires[0]
+            pauli = embed(PAULI[op.basis], op.wires, n)
+            parts = [proj @ rho @ proj for proj in
+                     ((np.eye(dim) + pauli) / 2, (np.eye(dim) - pauli) / 2)]
+            gone = flagged[:, w]
+            if gone.any():
+                mixed = 0.5 * (parts[0][:, gone] + parts[1][:, gone])
+                parts[0][:, gone] = parts[1][:, gone] = mixed
+            rho, outcomes = _branch(rho, outcomes, parts)
+            labels.append(op.label)
+            if w == 0:
+                rho = spectator(rho, noise.eps_meas)
         elif op.kind == "reset":
-            branches = [(w, _reset_wire(r, op.wires[0], n_wires), o)
-                        for w, r, o in branches]
-            if op.wires[0] == 0 and noise.eps_reset > 0.0:
-                branches = [(w, _spectator(r, noise.eps_reset, n_wires), o)
-                            for w, r, o in branches]
+            w = op.wires[0]
+            rho = sum(k @ rho @ k.conj().T for k in kraus[w])
+            if n_reg > 1:
+                rho = shift(clear(w), rho)
+            if w == 0:
+                rho = spectator(rho, noise.eps_reset)
         elif op.kind == "leak_check":
-            leak_labels.append(op.label)
-            snapshot = _ptrace_wire(sum(w * r for w, r, _ in branches),
-                                    0, n_wires)
-        total = sum(w for w, _, _ in branches)
+            if sorted(op.wires) != list(range(n)):
+                raise ValueError("leak_check must list every wire")
+            snapshot = _ptrace_wire(rho.sum(axis=(0, 1)), 0, n)
+            clean = np.zeros_like(rho)
+            clean[:, 0] = rho[:, 0]
+            rho, outcomes = _branch(rho, outcomes, [clean, rho - clean])
+            labels.append(op.label)
+        total = np.einsum("brii->", rho).real
         if abs(total - 1.0) > 1e-10:
-            raise BondsimError(f"branch weights lost trace: {total}")
-    labels = sorted({lab for _, _, o in branches for lab in o})
-    marginals = {lab: sum(w * o[lab] for w, _, o in branches) for lab in labels}
-    pair_products = {}
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1:]:
-            pair_products[(la, lb)] = sum(w * o[la] * o[lb]
-                                          for w, _, o in branches)
-    for lab in leak_labels:
-        marginals[lab] = 2.0 * retention - 1.0
+            raise BondsimError(f"state lost trace: {total}")
     if snapshot is None:
-        snapshot = _ptrace_wire(sum(w * r for w, r, _ in branches), 0, n_wires)
-    return SimResult(bond_rho=snapshot, marginals=marginals,
-                     pair_products=pair_products, retention=retention)
+        snapshot = _ptrace_wire(rho.sum(axis=(0, 1)), 0, n)
+    weights = np.einsum("brii->br", rho).real
+    return _Distribution(
+        labels=labels,
+        outcomes=np.concatenate([outcomes, outcomes]),
+        leaked=np.repeat([False, True], len(outcomes)),
+        probs=np.concatenate([weights[:, 0], weights[:, 1:].sum(axis=1)]),
+        bond_rho=snapshot)
 
 
-# ---------------------------------------------------------------------------
-# trajectory sampling
+def simulate_exact(circuit: Circuit, noise: NoiseModel | None = None) -> SimResult:
+    """Exact marginals and pair products of every label, the probability of
+    a leak-free shot, and the bond state at the leak check."""
+    dist = _evolve(circuit, noise or NoiseModel.none())
+    col = {lab: i for i, lab in enumerate(dist.labels)}
+    neg = dist.outcomes < 0
 
+    # <o> = 1 - 2 P(o = -1): exact zeros stay exact where an outcome can
+    # never be -1 (a leak check without leakage).
+    def mean(sel: np.ndarray) -> float:
+        return float(1.0 - 2.0 * (dist.probs @ sel))
 
-class _ShotState:
-    """All trajectories at once: (n_shots, 2^n_wires) amplitudes."""
-
-    def __init__(self, n_shots: int, n_wires: int, rng: np.random.Generator):
-        self.n = n_shots
-        self.n_wires = n_wires
-        self.dim = 2 ** n_wires
-        self.psi = np.zeros((n_shots, self.dim), dtype=complex)
-        self.psi[:, 0] = 1.0
-        self.leaked = np.zeros((n_shots, n_wires), dtype=bool)
-        self.leaked_ever = np.zeros((n_shots, n_wires), dtype=bool)
-        self.rng = rng
-
-    def _axes(self):
-        return (self.n,) + (2,) * self.n_wires
-
-    def apply_full(self, u: np.ndarray):
-        self.psi = self.psi @ u.T
-
-    def apply_1q(self, g: np.ndarray, wire: int, mask=None):
-        t = self.psi.reshape(self._axes())
-        t = np.moveaxis(t, 1 + wire, -1)
-        if mask is None:
-            t[...] = t @ g.T
-        else:
-            t[mask] = t[mask] @ g.T
-        self.psi = np.moveaxis(t, -1, 1 + wire).reshape(self.n, self.dim)
-
-    def apply_diag_2q(self, phases: np.ndarray, w0: int, w1: int, mask):
-        """Apply a diagonal-in-Z two-qubit gate (the native entangler)."""
-        t = self.psi.reshape(self._axes())
-        t = np.moveaxis(t, (1 + w0, 1 + w1), (-2, -1))
-        t[mask] = t[mask] * phases.reshape(2, 2)
-        self.psi = np.moveaxis(t, (-2, -1), (1 + w0, 1 + w1)).reshape(
-            self.n, self.dim)
-
-    def random_pauli(self, wire: int, mask):
-        """Uniformly random Pauli (identity included) per selected shot."""
-        idx = self.rng.integers(0, 4, size=self.n)
-        for k, lab in enumerate("IXYZ"):
-            if lab == "I":
-                continue
-            sub = mask & (idx == k)
-            if sub.any():
-                self.apply_1q(PAULI[lab], wire, sub)
-
-    def measure_z(self, wire: int, collapse: bool = True) -> np.ndarray:
-        """Sample the computational-basis outcome of one wire for all shots."""
-        probs = np.abs(self.psi) ** 2
-        t = probs.reshape(self._axes())
-        t = np.moveaxis(t, 1 + wire, 1)
-        p0 = t[:, 0].reshape(self.n, -1).sum(axis=1)
-        bits = (self.rng.random(self.n) >= p0).astype(np.int8)
-        if collapse:
-            amp = self.psi.reshape(self._axes())
-            amp = np.moveaxis(amp, 1 + wire, 1)
-            sel0 = bits == 0
-            amp[sel0, 1] = 0.0
-            amp[~sel0, 0] = 0.0
-            self.psi = np.moveaxis(amp, 1, 1 + wire).reshape(self.n, self.dim)
-            norm = np.sqrt((np.abs(self.psi) ** 2).sum(axis=1))
-            self.psi /= norm[:, None]
-        return bits
-
-
-def _sample_gate(state: _ShotState, op, noise: NoiseModel):
-    if noise.trivial and op.fragment is None:
-        state.apply_full(_embedded(np.asarray(op.unitary, dtype=complex),
-                                   op.wires, state.n_wires))
-        return
-    frag = op.fragment
-    if frag is None:
-        raise BondsimError("noisy sampling requires native fragments;"
-                           " run compile_circuit first")
-    uzz_phases = np.diag(UZZ)
-    for name, wires, angle in frag.ops:
-        if name == "uzz":
-            w0, w1 = wires
-            l0 = state.leaked[:, w0]
-            l1 = state.leaked[:, w1]
-            clean = ~(l0 | l1)
-            state.apply_diag_2q(uzz_phases, w0, w1, clean)
-            if noise.p2 > 0.0:
-                hit = clean & (state.rng.random(state.n) < noise.p2)
-                state.random_pauli(w0, hit)
-                state.random_pauli(w1, hit)
-            # A leaked ion completely depolarizes its (clean) partner.
-            state.random_pauli(w1, l0 & ~l1)
-            state.random_pauli(w0, l1 & ~l0)
-            if noise.p_leak > 0.0:
-                for w in (w0, w1):
-                    ev = state.rng.random(state.n) < noise.p_leak
-                    state.leaked[:, w] |= ev
-                    state.leaked_ever[:, w] |= ev
-        else:
-            w = wires[0]
-            ok = ~state.leaked[:, w]
-            state.apply_1q(_ROT[name](angle), w, ok)
-            if noise.p1 > 0.0:
-                hit = ok & (state.rng.random(state.n) < noise.p1)
-                state.random_pauli(w, hit)
-
-
-def _sample_measure(state: _ShotState, op, noise: NoiseModel, outcomes: dict):
-    wire = op.wires[0]
-    rot = BASIS_ROTATION[op.basis]
-    if op.basis != "Z":
-        state.apply_1q(rot, wire)
-    bits = state.measure_z(wire)
-    if op.basis != "Z":
-        state.apply_1q(rot.conj().T, wire)
-    vals = (1 - 2 * bits).astype(np.int8)
-    bad = state.leaked[:, wire]
-    if bad.any():
-        vals[bad] = (1 - 2 * state.rng.integers(0, 2, size=int(bad.sum()))
-                     ).astype(np.int8)
-    outcomes[op.label] = vals
-    if wire == 0 and noise.eps_meas > 0.0:
-        for w in range(1, state.n_wires):
-            hit = (state.rng.random(state.n) < noise.eps_meas) \
-                & ~state.leaked[:, w]
-            state.random_pauli(w, hit)
+    return SimResult(
+        bond_rho=dist.bond_rho,
+        marginals={lab: mean(neg[:, i]) for lab, i in col.items()},
+        pair_products={(a, b): mean(neg[:, col[a]] ^ neg[:, col[b]])
+                       for a, b in combinations(sorted(col), 2)},
+        retention=float(1.0 - dist.probs[dist.leaked].sum()))
 
 
 def sample_shots(circuit: Circuit, noise: NoiseModel | None = None,
                  n_shots: int = 1000, seed: int = 0) -> list:
-    """Stochastic trajectories; returns one ShotRecord per shot."""
+    """Draw n_shots from the exact distribution; one ShotRecord per shot."""
     if n_shots < 1:
         raise ValueError("need at least one shot")
-    noise = noise or NoiseModel.none()
-    if not noise.trivial:
-        circuit = compile_circuit(circuit)
-    rng = np.random.default_rng(seed)
-    state = _ShotState(n_shots, circuit.n_wires, rng)
-    outcomes: dict[str, np.ndarray] = {}
-    leak_flags: dict[str, np.ndarray] = {}
-    for op in circuit.ops:
-        if op.kind == "gate":
-            _sample_gate(state, op, noise)
-        elif op.kind == "measure":
-            _sample_measure(state, op, noise, outcomes)
-        elif op.kind == "reset":
-            bits = state.measure_z(op.wires[0])
-            flip = bits == 1
-            if flip.any():
-                state.apply_1q(X, op.wires[0], flip)
-            state.leaked[:, op.wires[0]] = False
-            if op.wires[0] == 0 and noise.eps_reset > 0.0:
-                for w in range(1, state.n_wires):
-                    hit = (rng.random(n_shots) < noise.eps_reset) \
-                        & ~state.leaked[:, w]
-                    state.random_pauli(w, hit)
-        elif op.kind == "leak_check":
-            flagged = state.leaked_ever[:, list(op.wires)].any(axis=1)
-            leak_flags[op.label] = np.where(flagged, -1, 1).astype(np.int8)
-    records = []
-    all_labels = {**outcomes, **leak_flags}
-    for i in range(n_shots):
-        records.append(ShotRecord(
-            outcomes={lab: int(v[i]) for lab, v in all_labels.items()},
-            leaked=bool(state.leaked_ever[i].any()),
-            seed=seed + i,
-        ))
-    return records
+    dist = _evolve(circuit, noise or NoiseModel.none())
+    probs = np.clip(dist.probs, 0.0, None)
+    cells = np.random.default_rng(seed).choice(
+        len(probs), size=n_shots, p=probs / probs.sum())
+    table = [dict(zip(dist.labels, row)) for row in dist.outcomes.tolist()]
+    return [ShotRecord(outcomes=dict(table[k]), leaked=bool(dist.leaked[k]),
+                       seed=seed + i)
+            for i, k in enumerate(cells.tolist())]
 
 
 def shots_to_csv(records: list, path) -> None:
     """One row per shot: every label column, leak flag, per-shot seed."""
-    import csv
-
     labels = sorted({lab for r in records for lab in r.outcomes})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -8,6 +8,7 @@ so a figure reproduced from these tables is self-validating.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -114,11 +115,27 @@ def get_params(lam: float, n_b: int, mode: str | None = None,
         raise BondsimError(f"no stored parameters for {key}")
     params, _ = variational_optimize(lam, n_b, mode=mode)
     if cache_path:
-        table = _cache_table(cache_path)
-        table[key] = params.to_json()
-        with open(cache_path, "w") as fh:
-            json.dump(table, fh, indent=1, sort_keys=True)
+        _store_params(cache_path, key, params)
     return params
+
+
+def _store_params(path: str, key: str, params: AnsatzParams) -> None:
+    """Merge one entry into the cache file as it is on disk now, and replace
+    the file atomically so that a reader never sees a partial table.
+
+    A process that replaces the file between this re-read and the replace
+    still loses its entry; there is no lock.
+    """
+    table = _cache_table(path)
+    table[key] = params.to_json()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(table, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +217,7 @@ def _entropy_point(args):
     settings = tomography_settings(cfg.n_b, cfg.restricted_tomography)
     seed = cfg.seed + 1000 * idx
     recs, frecs = {}, {}
-    retention = 1.0
+    kept = attempted = 0
     for k, setting in enumerate(settings):
         circuit = build_state_prep_circuit(
             params, prep, j, purpose="tomography", setting=setting,
@@ -208,8 +225,10 @@ def _entropy_point(args):
         if not noise.trivial or cfg.zne:
             circuit = compile_circuit(circuit)
         shots = sample_shots(circuit, noise, cfg.shots, seed + 2 * k)
+        attempted += len(shots)
         if cfg.postselect:
-            shots, retention = leakage_postselect(shots)
+            shots, _ = leakage_postselect(shots)
+        kept += len(shots)
         recs[setting] = shots
         if cfg.zne:
             fshots = sample_shots(fold_circuit(circuit), noise, cfg.shots,
@@ -235,28 +254,39 @@ def _entropy_point(args):
         "entropy": s, "entropy_sigma": sig,
         "entropy_mps": s_mps,
         "entropy_exact": s_exact,
-        "retention": retention, "mitigated": int(cfg.zne),
+        "retention": kept / attempted, "mitigated": int(cfg.zne),
         "iterations": j,
     }
 
 
+def _worker_count() -> int:
+    raw = os.environ.get(WORKER_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKER_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
+
+
+def _run_job(point_fn, job) -> dict:
+    """Run one sweep point; a BondsimError becomes an error row."""
+    try:
+        return point_fn(job)
+    except BondsimError as exc:
+        lam, _, cfg = job
+        return {"lambda": lam, "chi": 2 ** cfg.n_b, "error": str(exc)}
+
+
 def _run_points(point_fn, cfg: SweepConfig) -> list:
     jobs = [(lam, idx, cfg) for idx, lam in enumerate(cfg.lambda_grid)]
-    workers = int(os.environ.get(WORKER_ENV, "1"))
-    rows = []
+    run = functools.partial(_run_job, point_fn)
+    workers = _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lam, result in zip(cfg.lambda_grid,
-                                   pool.map(point_fn, jobs)):
-                rows.append(result)
-        return rows
-    for job in jobs:
-        try:
-            rows.append(point_fn(job))
-        except BondsimError as exc:
-            rows.append({"lambda": job[0], "chi": 2 ** cfg.n_b,
-                         "error": str(exc)})
-    return rows
+            return list(pool.map(run, jobs))
+    return [run(job) for job in jobs]
 
 
 def run_energy_sweep(config: SweepConfig) -> list:

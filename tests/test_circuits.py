@@ -6,6 +6,7 @@ from scipy.stats import unitary_group
 
 from bondsim.ansatz import (AnsatzParams, ansatz_num_params, boundary_prep,
                             build_ansatz_unitary)
+from bondsim import circuits
 from bondsim.circuits import (BASIS_ROTATION, Circuit, CircuitOp,
                               build_state_prep_circuit, compile_circuit,
                               gate, leak_check, measure, reset,
@@ -138,6 +139,26 @@ def test_compile_circuit_attaches_fragments():
             target = embed(op.unitary, op.wires, c.n_wires)
             assert np.linalg.norm(op.fragment.matrix() - target) < 1e-10
     assert c.count_uzz() == 3 * 3  # generic gate costs 3 per iteration
+
+
+def test_compile_decomposes_each_distinct_gate_once(monkeypatch):
+    """j iterations of one site gate, plus a boundary gate on another wire,
+    cost two decompositions, not j + 1."""
+    calls = []
+    real = circuits.decompose_to_native
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("wires"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "decompose_to_native", counting)
+    prep = boundary_prep(BoundaryState(np.array([0.6, 0.8])))
+    c = compile_circuit(build_state_prep_circuit(random_site_unitary(4),
+                                                 prep, 10))
+    assert sorted(calls) == [(0, 1), (1,)]
+    site = {id(op.fragment) for op in c.ops
+            if op.kind == "gate" and op.wires == (0, 1)}
+    assert len(site) == 1
 
 
 def test_compile_rejects_monolithic_three_qubit_gate():

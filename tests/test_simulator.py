@@ -1,13 +1,17 @@
-"""Exact density-matrix and trajectory simulators, checked against the
-bond-channel formalism they are supposed to dilate."""
+"""The exact engine and the shots drawn from it, checked against the
+bond-channel formalism they are supposed to dilate and against closed forms
+of the leak rules."""
 
 import numpy as np
 import pytest
 
 from bondsim import mps
 from bondsim.ansatz import build_full_unitary, extract_isometry
-from bondsim.circuits import build_state_prep_circuit, compile_circuit
+from bondsim.circuits import (Circuit, build_state_prep_circuit,
+                              compile_circuit, gate, leak_check, measure,
+                              reset)
 from bondsim.estimation import energy_from_records
+from bondsim.kak import NativeCircuitFragment
 from bondsim.noise import NoiseModel
 from bondsim.simulator import sample_shots, shots_to_csv, simulate_exact
 
@@ -163,3 +167,69 @@ def test_sampled_tomography_matches_exact_distribution():
     shots = sample_shots(c, None, 40000, seed=5)
     mean = np.mean([r.outcomes["b1:X"] for r in shots])
     assert abs(mean - exact.marginals["b1:X"]) < 4.5 / np.sqrt(40000)
+
+
+# ---------------------------------------------------------------------------
+# leak rules: each closed form below changes if its rule is dropped
+
+Q = 0.1
+LEAK_ONLY = NoiseModel(p2=0.0, p1=0.0, p_leak=Q, eps_meas=0.0, eps_reset=0.0)
+UZZ01 = ("uzz", (0, 1), None)
+
+
+def _native(*ops):
+    """A two-wire gate op that runs the given native ops."""
+    frag = NativeCircuitFragment(n_wires=2, ops=list(ops))
+    return gate(frag.matrix(), (0, 1), fragment=frag)
+
+
+def _leak_circuit(*ops):
+    return Circuit(n_wires=2, ops=ops + (leak_check((0, 1), "leak"),))
+
+
+def test_leak_flag_is_sticky():
+    """A wire that leaked in a U_zz skips the later X flip: <Z> = -(1-Q)
+    (a flag that did not stick would give -1)."""
+    c = _leak_circuit(_native(UZZ01), _native(("rx", (1,), np.pi)),
+                      measure(1, "Z", "m"))
+    res = simulate_exact(c, LEAK_ONLY)
+    assert np.isclose(res.marginals["m"], -(1 - Q), atol=1e-12)
+    assert np.isclose(res.retention, (1 - Q) ** 2, atol=1e-12)
+
+
+def test_leaked_wire_records_random_outcomes():
+    """|0> reads +1 unless the wire leaked, then +-1 at random: <Z> = 1-Q."""
+    c = _leak_circuit(_native(UZZ01), measure(1, "Z", "m"))
+    res = simulate_exact(c, LEAK_ONLY)
+    assert np.isclose(res.marginals["m"], 1 - Q, atol=1e-12)
+    # leak-free +1 +1, only wire 0 leaked -1 +1, wire 1 leaked averages 0
+    assert np.isclose(res.pair_products[("leak", "m")], (1 - Q) * (1 - 2 * Q),
+                      atol=1e-12)
+
+
+def test_leaked_ion_depolarizes_clean_partner():
+    """Wire 1 holds |1>; the second U_zz fully depolarizes it when only
+    wire 0 leaked in the first: <Z_1> = -(1-Q)^3, not -(1-Q)^2."""
+    c = _leak_circuit(_native(("rx", (1,), np.pi)), _native(UZZ01),
+                      _native(UZZ01), measure(1, "Z", "m"))
+    res = simulate_exact(c, LEAK_ONLY)
+    assert np.isclose(res.marginals["m"], -(1 - Q) ** 3, atol=1e-12)
+
+
+def test_reset_clears_flag_but_not_leak_record():
+    """After a reset the wire takes gates again (<Z> = -1 after an X flip),
+    while the leak check still sees the earlier leak."""
+    c = _leak_circuit(_native(UZZ01), reset(0), _native(("rx", (0,), np.pi)),
+                      measure(0, "Z", "m"))
+    res = simulate_exact(c, LEAK_ONLY)
+    assert np.isclose(res.marginals["m"], -1.0, atol=1e-12)
+    assert np.isclose(res.marginals["leak"], 2 * (1 - Q) ** 2 - 1, atol=1e-12)
+    shots = sample_shots(c, LEAK_ONLY, 2000, seed=4)
+    assert all(r.outcomes["m"] == -1 for r in shots)
+    assert all(r.leaked == (r.outcomes["leak"] == -1) for r in shots)
+
+
+def test_partial_leak_check_rejected():
+    c = Circuit(n_wires=2, ops=(leak_check((1,), "leak"),))
+    with pytest.raises(ValueError):
+        simulate_exact(c, LEAK_ONLY)

@@ -1,12 +1,14 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from bondsim import sweeps
 from bondsim.ansatz import AnsatzParams
 from bondsim.mps import BondsimError
-from bondsim.noise import NoiseModel
-from bondsim.sweeps import (SweepConfig, default_mode, get_params,
+from bondsim.noise import NoiseModel, leakage_postselect
+from bondsim.sweeps import (WORKER_ENV, SweepConfig, default_mode, get_params,
                             prepare_point, run_energy_sweep,
                             run_entropy_sweep, run_validation, write_table)
 
@@ -46,6 +48,29 @@ def test_get_params_user_cache(tmp_path):
         json.dump({"0.777|1|full_unitary": stored.to_json()}, fh)
     p = get_params(0.777, 1, cache_path=path, optimize_if_missing=False)
     assert p == stored
+
+
+def test_params_cache_write_keeps_other_entries(tmp_path, monkeypatch):
+    """A fresh optimum is merged into the cache as it is on disk when the
+    optimizer returns, and no temporary file is left behind."""
+    path = tmp_path / "cache.json"
+    earlier = AnsatzParams(lam=0.5, n_b=1, mode="full_unitary",
+                           angles=tuple(np.ones(15)), energy=-1.1)
+    fresh = AnsatzParams(lam=0.777, n_b=1, mode="full_unitary",
+                         angles=tuple(np.zeros(15)), energy=-1.0)
+
+    def optimize(lam, n_b, mode="ansatz", config=None):
+        # another process stores its entry while this one optimizes
+        path.write_text(json.dumps({"0.5|1|full_unitary": earlier.to_json()}))
+        return fresh, None
+
+    monkeypatch.setattr(sweeps, "variational_optimize", optimize)
+    assert get_params(0.777, 1, cache_path=str(path)) == fresh
+    assert get_params(0.5, 1, cache_path=str(path),
+                      optimize_if_missing=False) == earlier
+    assert get_params(0.777, 1, cache_path=str(path),
+                      optimize_if_missing=False) == fresh
+    assert os.listdir(tmp_path) == ["cache.json"]
 
 
 def test_prepare_point_burn_in():
@@ -92,6 +117,56 @@ def test_entropy_sweep_with_noise_and_postselection():
     row = run_entropy_sweep(cfg)[0]
     assert 0.0 < row["retention"] < 1.0
     assert row["entropy"] > 0
+
+
+def test_entropy_retention_is_pooled_over_settings(monkeypatch):
+    """The row reports kept / attempted over every setting, not the rate of
+    the last setting."""
+    counts = []
+
+    def recording(shots, *args, **kwargs):
+        kept, rate = leakage_postselect(shots, *args, **kwargs)
+        counts.append((len(kept), len(shots)))
+        return kept, rate
+
+    monkeypatch.setattr(sweeps, "leakage_postselect", recording)
+    nm = NoiseModel(p2=0.0, p1=0.0, p_leak=0.01, eps_meas=0.0, eps_reset=0.0)
+    cfg = SweepConfig(lambda_grid=(1.2,), shots=400, seed=3, noise=nm,
+                      postselect=True, bootstrap_b=100, entropy_oracle=False)
+    row = run_entropy_sweep(cfg)[0]
+    assert len(counts) == 3
+    assert len({kept for kept, _ in counts}) > 1
+    assert row["retention"] == (sum(k for k, _ in counts)
+                                / sum(n for _, n in counts))
+
+
+def _grid_with_failing_point(tmp_path):
+    """lambda=0.6 reads a cached chi=4 full unitary under a chi=2 key: its
+    8x8 site gate cannot be compiled, so that point raises BondsimError."""
+    bad = AnsatzParams(lam=0.6, n_b=2, mode="full_unitary",
+                       angles=tuple(0.3 * np.cos(np.arange(63))), energy=-1.0)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"0.6|1|full_unitary": bad.to_json()}))
+    return SweepConfig(lambda_grid=(0.6, 1.2), shots=200, zne=True,
+                       cache_path=str(path))
+
+
+def test_parallel_sweep_records_errors_like_serial(tmp_path, monkeypatch):
+    cfg = _grid_with_failing_point(tmp_path)
+    monkeypatch.setenv(WORKER_ENV, "1")
+    serial = run_energy_sweep(cfg)
+    monkeypatch.setenv(WORKER_ENV, "2")
+    parallel = run_energy_sweep(cfg)
+    assert parallel == serial
+    assert "three-qubit" in serial[0]["error"]
+    assert "error" not in serial[1]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+def test_bad_worker_count_rejected(monkeypatch, value):
+    monkeypatch.setenv(WORKER_ENV, value)
+    with pytest.raises(ValueError, match=WORKER_ENV):
+        run_energy_sweep(SweepConfig(lambda_grid=(1.2,), shots=10))
 
 
 def test_run_validation_passes():
