@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     _add_common_args(p)
     p.add_argument("--no-entropy-oracle", action="store_true",
-                   help="skip the (slow) infinite-chain reference column")
+                   help="skip the infinite-chain reference column")
 
     p = sub.add_parser("validate", help="run the cross-module invariant "
                                         "suite")

@@ -88,7 +88,7 @@ class Tomogram:
     """Per-setting bitstring counts from terminal bond-register measurements."""
 
     settings: dict            # basis tuple -> {bitstring: count}
-    shots_per_setting: int
+    shots_per_setting: int    # smallest shot count over the settings
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -130,9 +130,9 @@ def tomogram_from_shots(records_by_setting: dict, n_b: int,
     """Bin ShotRecord lists (one list per setting) into count tables.
 
     Bond-measurement labels are "b{wire}:{basis}"; outcome +1 maps to bit 0.
+    ``shots_per_setting`` is the smallest record count over the settings.
     """
     settings = {}
-    per_setting = None
     for setting, records in records_by_setting.items():
         counts: dict[str, int] = {}
         for r in records:
@@ -142,7 +142,7 @@ def tomogram_from_shots(records_by_setting: dict, n_b: int,
                 bits += "0" if r.outcomes[lab] == 1 else "1"
             counts[bits] = counts.get(bits, 0) + 1
         settings[tuple(setting)] = counts
-        per_setting = len(records)
+    per_setting = min(map(len, records_by_setting.values()), default=None)
     return Tomogram(settings=settings, shots_per_setting=per_setting,
                     metadata=metadata or {})
 

@@ -59,7 +59,7 @@ class SweepConfig:
     mode: str | None = None          # None = default for this n_b
     cache_path: str | None = None    # extra optimized-parameter store
     bootstrap_b: int = 1000
-    entropy_oracle: bool = True      # high-chi reference column (slow)
+    entropy_oracle: bool = True      # closed-form reference column
 
     def __post_init__(self):
         if not self.lambda_grid:

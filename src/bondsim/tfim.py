@@ -2,19 +2,20 @@
 H = -sum_j (Z_j Z_{j+1} + lambda X_j).
 
 Three routes: free-fermion quadrature for the infinite-chain energy density,
-imaginary-time iTEBD at ramped bond dimension for the half-chain entropy, and
-Lanczos diagonalization of short chains as the brute-force cross-check.
+the closed-form corner-transfer-matrix entanglement spectrum for the
+half-chain entropy, and Lanczos diagonalization of short chains as the
+brute-force cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.special import ellipkm1
 
 from .mps import entanglement_entropy
 
@@ -27,15 +28,15 @@ class TFIMParams:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lambda must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
 class OracleResult:
     energy_density: float
     entropy_bits: float
-    method: str                  # quadrature | high_chi_mps | exact_diag
+    method: str                  # quadrature | closed_form | exact_diag
     convergence_estimate: float
     converged: bool = True
 
@@ -131,105 +132,49 @@ def exact_diag(params: TFIMParams, n_sites: int, boundary: str = "periodic") -> 
 
 
 # ---------------------------------------------------------------------------
-# High-chi iTEBD entropy oracle
+# Closed-form entropy oracle
 # ---------------------------------------------------------------------------
 
-def _two_site_gate(lam: float, tau: float) -> np.ndarray:
-    """exp(-tau h_bond) with h_bond = -(ZZ + lam/2 (XI + IX)) acting on 2 sites."""
-    zz = np.kron(_Z, _Z)
-    xs = np.kron(_X, np.eye(2)) + np.kron(np.eye(2), _X)
-    h = -(zz + 0.5 * lam * xs)
-    w, u = np.linalg.eigh(h)
-    return (u * np.exp(-tau * w)) @ u.T
-
-
-def _itebd_entropy(lam: float, chi: int, symmetry_broken: bool) -> float:
-    """Half-chain entropy of the iTEBD ground state at fixed bond dimension.
-
-    Vidal gauge with a 2-site unit cell; imaginary-time ramp with decreasing
-    Trotter step until the bond entropy is stationary.
-    """
-    rng = np.random.default_rng(12345)
-    if symmetry_broken:
-        # Tilted near-|0...0> product start selects one ordered branch.
-        v = np.array([1.0, 0.3])
-    else:
-        v = np.array([1.0, 1.0])
-    v = v / np.linalg.norm(v)
-    gammas = []
-    for _ in range(2):
-        g = np.zeros((2, 1, 1))
-        g[:, 0, 0] = v
-        gammas.append(g + 1e-9 * rng.normal(size=g.shape))
-    lams = [np.ones(1), np.ones(1)]
-
-    def bond_entropy(s):
-        p = s ** 2
-        p = p[p > 1e-30]
-        p = p / p.sum()
-        return float(-(p * np.log2(p)).sum())
-
-    schedule = [(0.2, 400), (0.05, 800), (0.01, 2000), (0.002, 4000), (0.0005, 4000)]
-    for tau, max_steps in schedule:
-        gate = _two_site_gate(lam, tau)
-        gate4 = gate.reshape(2, 2, 2, 2)
-        prev = -1.0
-        for step in range(max_steps):
-            for a in (0, 1):
-                b = 1 - a
-                ga, gb = gammas[a], gammas[b]
-                la, lb = lams[a], lams[b]
-                # theta with outer lb weights: lb . ga . la . gb . lb
-                theta = np.einsum("a,sab,b,tbc,c->satc",
-                                  lb, ga, la, gb, lb, optimize=True)
-                theta = np.einsum("satc,uvst->uavc", theta, gate4, optimize=True)
-                d1 = theta.shape[0] * theta.shape[1]
-                d2 = theta.shape[2] * theta.shape[3]
-                m = theta.reshape(d1, d2)
-                u, s, vh = np.linalg.svd(m, full_matrices=False)
-                keep = min(chi, int((s > 1e-12 * s[0]).sum()))
-                u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-                s = s / np.linalg.norm(s)
-                lb_inv = np.where(lb > 1e-12, 1.0 / np.maximum(lb, 1e-12), 0.0)
-                ga_new = u.reshape(2, -1, keep) * lb_inv[None, :, None]
-                gb_new = vh.reshape(keep, 2, -1).transpose(1, 0, 2) * lb_inv[None, None, :]
-                gammas[a] = ga_new
-                gammas[b] = gb_new
-                lams[a] = s
-            ent = bond_entropy(lams[0])
-            if step % 20 == 19:
-                if abs(ent - prev) < 1e-11:
-                    break
-                prev = ent
-    return bond_entropy(lams[0])
-
-
-@lru_cache(maxsize=256)
-def _entropy_ramp(lam: float, symmetry_broken: bool) -> tuple[float, float, bool]:
-    prev = None
-    diff = float("inf")
-    for chi in (8, 16, 32, 64):
-        val = _itebd_entropy(lam, chi, symmetry_broken)
-        if prev is not None:
-            diff = abs(val - prev)
-            if diff < 1e-5:
-                return val, diff, True
-        prev = val
-    return val, diff, False
+_CUTOFF = 50.0   # entanglement energy above which modes go to the tail bound
 
 
 def exact_half_chain_entropy(params: TFIMParams) -> OracleResult:
-    """Half-chain entropy of the infinite chain via the chi-ramped iTEBD
-    ground state.  In the ordered phase the symmetric (cat) branch is used:
-    its entropy equals the broken-branch entropy plus exactly one bit."""
+    """Half-chain entropy of the infinite chain from the closed-form
+    corner-transfer-matrix spectrum (Peschel, Kaulke & Legeza, Ann. Phys.
+    (Leipzig) 8, 153 (1999)).
+
+    The reduced density matrix is a product of free-fermion modes with
+    entanglement energies eps_l = (2l + 1) eps (lam > 1) or 2 l eps (lam < 1),
+    eps = pi K(k') / K(k), k = min(lam, 1/lam).  In the ordered phase the
+    eps_0 = 0 mode contributes exactly one bit: the symmetric (cat) branch.
+    ``convergence_estimate`` bounds the dropped modes, using
+    H(x) <= (1 + x) exp(-x) nats per mode.
+    """
     lam = params.lam
     if abs(lam - 1.0) < 1e-9:
         raise ValueError("entropy diverges at the critical point lambda = 1")
+    # k'^2 = (1 - k)(1 + k) without cancellation near lam = 1; ellipkm1(p)
+    # is K at parameter 1 - p, so K(k) = ellipkm1(k'^2), K(k') = ellipkm1(k^2).
     if lam < 1.0:
-        val, conv, ok = _entropy_ramp(round(lam, 12), True)
-        val = val + 1.0
+        k, kp2 = lam, (1.0 - lam) * (1.0 + lam)
     else:
-        val, conv, ok = _entropy_ramp(round(lam, 12), False)
-    return OracleResult(energy_density=float("nan"), entropy_bits=val,
-                        method="high_chi_mps", convergence_estimate=conv,
-                        converged=ok)
+        k, kp2 = 1.0 / lam, ((lam - 1.0) / lam) * ((lam + 1.0) / lam)
+    eps = np.pi * float(ellipkm1(k * k) / ellipkm1(kp2))
+    if np.isinf(eps):
+        # k^2 = 0 (lam = 0, or lam so large that k^2 underflows): every mode
+        # is frozen except the ordered phase's eps_0 = 0 cat mode.
+        return OracleResult(energy_density=float("nan"),
+                            entropy_bits=1.0 if lam < 1.0 else 0.0,
+                            method="closed_form", convergence_estimate=0.0)
+    first = 0.0 if lam < 1.0 else eps
+    n = int(_CUTOFF / (2.0 * eps)) + 1
+    x = first + 2.0 * eps * np.arange(n)
+    q = np.exp(-x)
+    bits = float(np.sum(np.log1p(q) + x * q / (1.0 + q)) / np.log(2.0))
+    # Sum of (1 + x) e^-x over the dropped modes x_n + 2 eps j, j >= 0.
+    x_n, r = first + 2.0 * eps * n, np.exp(-2.0 * eps)
+    tail = np.exp(-x_n) * ((1.0 + x_n) / (1.0 - r)
+                           + 2.0 * eps * r / (1.0 - r) ** 2)
+    return OracleResult(energy_density=float("nan"), entropy_bits=bits,
+                        method="closed_form",
+                        convergence_estimate=float(tail / np.log(2.0)))

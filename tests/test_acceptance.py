@@ -26,9 +26,10 @@ from bondsim.sweeps import SweepConfig, get_params, prepare_point, \
 CHI2_ENTROPY_LAMBDAS = (0.2, 0.6, 1.0, 1.2, 2.0)
 CHI4_LAMBDAS = (1.01, 1.05, 1.1, 1.15, 1.2)
 
-# Half-chain entropy of the infinite chain from an independent frozen
-# high-bond-dimension run (converged to < 1e-4 bits).
-ENTROPY_ORACLE = {1.01: 0.7928, 1.2: 0.365746, 2.0: 0.128361}
+# Half-chain entropy of the infinite chain, frozen from the closed-form
+# entanglement spectrum (Peschel, Kaulke & Legeza 1999); tests/test_tfim.py
+# cross-checks it against the correlation-matrix block entropy.
+ENTROPY_ORACLE = {1.01: 0.7940579, 1.2: 0.3655147, 2.0: 0.1281733}
 
 
 def _report(num, desc, ok, detail=""):

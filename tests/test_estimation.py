@@ -135,6 +135,20 @@ def test_entropy_with_ci_input_guards():
         entropy_with_ci(tomo, bootstrap_b=10)
 
 
+def test_shot_floor_checks_every_setting():
+    # post-selection can leave settings with unequal counts; a short setting
+    # that is not the last one must still trip the 50-shot floor
+    recs = {}
+    for k, setting in enumerate(tomography_settings(1)):
+        c = build_state_prep_circuit(SITE_U, None, J, purpose="tomography",
+                                     setting=setting)
+        recs[setting] = sample_shots(c, None, 30 if k == 0 else 200, seed=k)
+    tomo = tomogram_from_shots(recs, 1)
+    assert tomo.shots_per_setting == 30
+    with pytest.raises(BondsimError):
+        entropy_with_ci(tomo, bootstrap_b=200)
+
+
 def test_tomogram_resample_statistics():
     tomo = sampled_tomogram(shots=2000, seed=7)
     rng = np.random.default_rng(0)

@@ -14,6 +14,7 @@ from bondsim.estimation import energy_from_records
 from bondsim.kak import NativeCircuitFragment
 from bondsim.noise import NoiseModel
 from bondsim.simulator import sample_shots, shots_to_csv, simulate_exact
+from bondsim.sweeps import get_params, prepare_point
 
 # a fixed, mildly entangling chi=2 site unitary (no optimization involved)
 COEFFS = 0.35 * np.cos(np.arange(1, 16) * 1.7)
@@ -103,6 +104,33 @@ def test_zero_leak_rate_is_noop():
     assert [r.outcomes for r in a] == [r.outcomes for r in b]
     assert not any(r.leaked for r in a)
     assert all(r.outcomes["leak"] == 1 for r in a)
+
+
+def test_zero_leak_rate_matches_vanishing_leak_rate():
+    """p_leak = 0 takes the one-register path; p_leak = 1e-300 runs the full
+    2^n + 1 leak register with leak branches too small to change any float.
+    The two must agree exactly, so the fast path neither draws extra
+    randomness nor changes outcomes."""
+    params = get_params(1.2, 1)
+    *_, prep, j = prepare_point(params, 1e-4)
+    c = compile_circuit(build_state_prep_circuit(params, prep, j,
+                                                 purpose="energy"))
+    runs = []
+    for p_leak in (0.0, 1e-300):
+        nm = NoiseModel(p2=0.008, p1=0.0003, p_leak=p_leak, eps_meas=0.002,
+                        eps_reset=0.002)
+        runs.append((simulate_exact(c, nm), sample_shots(c, nm, 2000, seed=3)))
+    (ex0, shots0), (ex1, shots1) = runs
+    assert ex0.retention == ex1.retention == 1.0
+    assert ex0.marginals.keys() == ex1.marginals.keys()
+    for lab, val in ex0.marginals.items():
+        assert abs(val - ex1.marginals[lab]) < 1e-12
+    assert ex0.pair_products.keys() == ex1.pair_products.keys()
+    for key, val in ex0.pair_products.items():
+        assert abs(val - ex1.pair_products[key]) < 1e-12
+    assert np.abs(ex0.bond_rho - ex1.bond_rho).max() < 1e-12
+    assert [r.outcomes for r in shots0] == [r.outcomes for r in shots1]
+    assert not any(r.leaked for r in shots0 + shots1)
 
 
 def test_leakage_retention_scaling():

@@ -2,11 +2,14 @@
 
 Frozen values below were computed independently: the energy densities from
 the closed elliptic-integral form e(lam) = -(2/pi)(1+lam) E(m) with
-m = 4 lam/(1+lam)^2, and the entropies from a separate DMRG run.
+m = 4 lam/(1+lam)^2, and the entropies from the closed-form entanglement
+spectrum, cross-checked here against the free-fermion correlation-matrix
+block entropy (Peschel, J. Phys. A 36, L205 (2003)).
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ellipe
 
 from bondsim.tfim import (TFIMParams, exact_diag, exact_energy_density,
@@ -40,6 +43,12 @@ def test_negative_lambda_rejected():
         TFIMParams(-0.1)
 
 
+@pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+def test_nonfinite_lambda_rejected(lam):
+    with pytest.raises(ValueError):
+        TFIMParams(lam)
+
+
 @pytest.mark.parametrize("lam,n", [(0.5, 10), (1.0, 12), (1.5, 10)])
 def test_exact_diag_tracks_infinite_chain(lam, n):
     r = exact_diag(TFIMParams(lam), n, boundary="periodic")
@@ -71,12 +80,58 @@ def test_exact_diag_ordered_phase_entropy():
     assert abs(r.entropy_bits - 1.0) < 1e-2
 
 
+def correlation_block_entropy(lam, size):
+    """Entropy in bits of `size` adjacent sites of the infinite chain from
+    the singular values nu of the Majorana correlation matrix G_mn = g_(m-n),
+    g_l = (1/2pi) Int e^(-il phi) (cos phi - lam - i sin phi)/|...| dphi."""
+    def c(m):   # (1/pi) Int_0^pi cos(m phi) / |cos phi - lam - i sin phi|
+        val, _ = quad(lambda phi: 1.0 / np.sqrt(1.0 + lam * lam
+                                                - 2.0 * lam * np.cos(phi)),
+                      0.0, np.pi, weight="cos", wvar=m, epsabs=1e-13,
+                      limit=200)
+        return val / np.pi
+    cs = [c(m) for m in range(size + 1)]
+    g = {l: cs[abs(l + 1)] - lam * cs[abs(l)] for l in range(-size, size)}
+    gmat = np.array([[g[m - n] for n in range(size)] for m in range(size)])
+    nu = np.clip(np.linalg.svd(gmat, compute_uv=False), 0.0, 1.0)
+    p = (1.0 + nu) / 2.0
+    p = p[p < 1.0]
+    return float(-np.sum(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+
+
 def test_entropy_oracle_disordered_phase():
     r = exact_half_chain_entropy(TFIMParams(2.0))
-    assert r.method == "high_chi_mps"
+    assert r.method == "closed_form"
     assert r.converged
-    # frozen DMRG reference
-    assert abs(r.entropy_bits - 0.128361) < 5e-5
+    assert 0.0 < r.convergence_estimate < 1e-12
+    # frozen exact value, cross-checked by the correlation-matrix test below
+    assert abs(r.entropy_bits - 0.1281733) < 5e-5
+
+
+@pytest.mark.parametrize("lam", [1.2, 2.0])
+def test_entropy_oracle_matches_correlation_matrix(lam):
+    # A block of 60 sites has two cuts, each ~60 / xi correlation lengths
+    # away from the other (xi = 1/ln(lam) = 5.5 sites at lam = 1.2).
+    oracle = exact_half_chain_entropy(TFIMParams(lam)).entropy_bits
+    assert abs(correlation_block_entropy(lam, 60) / 2 - oracle) < 1e-9
+
+
+def test_entropy_oracle_edge_cases():
+    r = exact_half_chain_entropy(TFIMParams(0.0))
+    assert r.entropy_bits == 1.0 and r.convergence_estimate == 0.0
+    # just above lam = 1 the entropy is below one bit; just below it carries
+    # the cat bit on top; both grow without bound as lam -> 1
+    assert 0.0 < exact_half_chain_entropy(TFIMParams(1.01)).entropy_bits < 1.0
+    assert exact_half_chain_entropy(TFIMParams(0.99)).entropy_bits > 1.0
+    near = [exact_half_chain_entropy(TFIMParams(1.0 + d)).entropy_bits
+            for d in (-1e-6, -1e-3, 1e-3, 1e-6)]
+    assert np.all(np.isfinite(near))
+    assert near[0] > near[1] > 1.0 and near[3] > near[2] > 0.0
+    assert 0.0 < exact_half_chain_entropy(TFIMParams(1e3)).entropy_bits < 1e-5
+    for lam in (0.3, 0.999, 1.001, 5.0):
+        r = exact_half_chain_entropy(TFIMParams(lam))
+        assert r.method == "closed_form" and r.converged
+        assert r.convergence_estimate < 1e-12
 
 
 def test_entropy_oracle_ordered_phase_has_cat_bit():
