@@ -28,10 +28,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import fsolve, minimize
+from scipy.optimize import minimize
 
 from .gates import CZ, H, I2, PAULI, X, Z, embed, kron_all, rx, ry, rz
-from .mps import BondsimError, BoundaryState, MPSTensor
+from .mps import (BondChannel, BondsimError, BoundaryState, MPSTensor,
+                  project_fixed_point)
 
 __all__ = [
     "AnsatzParams",
@@ -242,29 +243,21 @@ def complete_isometry(tensor: MPSTensor) -> np.ndarray:
 
 
 def steady_state(tensor: MPSTensor, boundary: np.ndarray | None = None) -> np.ndarray:
-    """Bond-channel fixed point reachable from a boundary density matrix.
+    """Bond-channel fixed point reachable from a boundary density matrix
+    (default I/chi).
 
     Solves the eigenproblem of the transfer matrix once and projects the
-    boundary onto the eigenvalue-1 eigenspace; with a degenerate fixed-point
-    space (ordered phase) this picks the same state the iterated channel
-    converges to.
+    boundary onto the eigenvalue-1 eigenspace (``mps.project_fixed_point``);
+    with a degenerate fixed-point space (ordered phase) this picks the state
+    the iterated channel converges to.  Skips ``mps.bond_channel``'s isometry
+    check, which the optimizer's unitaries satisfy by construction.
     """
     v = tensor.data
     chi = v.shape[1]
-    k0, k1 = v[0].T, v[1].T
-    t = np.kron(k0, k0.conj()) + np.kron(k1, k1.conj())
     if boundary is None:
         boundary = np.eye(chi) / chi
-    w, r = np.linalg.eig(t)
-    c = np.linalg.solve(r, boundary.reshape(-1).astype(complex))
-    keep = np.abs(w - 1.0) < 1e-9
-    vec = (r[:, keep] * c[keep]).sum(axis=1)
-    rho = vec.reshape(chi, chi)
-    rho = (rho + rho.conj().T) / 2
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise BondsimError("boundary has no weight on the fixed-point space")
-    return rho / tr
+    w, r = np.linalg.eig(BondChannel(kraus=(v[0].T, v[1].T)).transfer)
+    return project_fixed_point(w, r, boundary)
 
 
 def tensor_energy(tensor: MPSTensor, lam: float) -> float:
@@ -446,9 +439,11 @@ def canonical_gauge(tensor: MPSTensor) -> tuple[MPSTensor, np.ndarray, tuple]:
     For a flip-covariant chi=4 tensor the fixed point only carries Pauli
     weight on {II, IX, XI, XX, YY, YZ, ZY, ZZ}.  A per-qubit Rx gauge
     rotation leaves the covariance intact while rotating the (Y, Z) block
-    [[YY, YZ], [ZY, ZZ]] as R(t1) M R(t2)^T; any real 2x2 matrix can be
-    rotated to zero diagonal, so angles always exist that null YY and ZZ.
-    The remaining support {II, IX, XI, XX, YZ, ZY} is exactly what the
+    M = [[YY, YZ], [ZY, ZZ]] as R(t1) M R(t2)^T.  Splitting M into a rotation
+    part (angle rot) and a reflection part (angle ref), the first turns by
+    t1 - t2 and the second by t1 + t2, so t1 = pi/2 - (rot + ref)/2 and
+    t2 = (rot - ref)/2 take both to angle pi/2 and null YY and ZZ.  The
+    remaining support {II, IX, XI, XX, YZ, ZY} is exactly what the
     3-setting tomography {(X,X), (Y,Z), (Z,Y)} measures.
 
     Returns (gauged tensor, gauge unitary G, per-bond-wire Rx angles); the
@@ -460,26 +455,14 @@ def canonical_gauge(tensor: MPSTensor) -> tuple[MPSTensor, np.ndarray, tuple]:
     if chi != 4:
         raise ValueError("canonical gauge implemented for chi in {2, 4}")
     rho = steady_state(tensor)
-
-    def residual(th):
-        g = np.kron(rx(th[0]), rx(th[1]))
-        r = g @ rho @ g.conj().T
-        return [_pauli_coeff(r, "YY"), _pauli_coeff(r, "ZZ")]
-
-    solution = None
-    for t1 in np.linspace(0.0, np.pi, 7):
-        for t2 in np.linspace(0.0, np.pi, 7):
-            th, _, ok, _ = fsolve(residual, [t1, t2], full_output=True, xtol=1e-14)
-            if ok == 1 and max(abs(v) for v in residual(th)) < 1e-12:
-                solution = th
-                break
-        if solution is not None:
-            break
-    if solution is None:
-        raise BondsimError("gauge angle search failed to converge")
-    g = np.kron(rx(solution[0]), rx(solution[1]))
+    m00, m01 = _pauli_coeff(rho, "YY"), _pauli_coeff(rho, "YZ")
+    m10, m11 = _pauli_coeff(rho, "ZY"), _pauli_coeff(rho, "ZZ")
+    rot = np.arctan2(m10 - m01, m00 + m11)
+    ref = np.arctan2(m10 + m01, m00 - m11)
+    t1, t2 = np.pi / 2 - (rot + ref) / 2, (rot - ref) / 2
+    g = np.kron(rx(t1), rx(t2))
     # Kraus transform K -> G K G^dag moves the fixed point to G rho G^dag;
     # in tensor components that is V_sigma -> conj(G) V_sigma G^T.
     v = tensor.data
     gauged = np.stack([g.conj() @ v[0] @ g.T, g.conj() @ v[1] @ g.T])
-    return MPSTensor(data=gauged), g, (float(solution[0]), float(solution[1]))
+    return MPSTensor(data=gauged), g, (float(t1), float(t2))

@@ -1,6 +1,9 @@
 """Uniform-MPS linear algebra: isometries, bond channels, transfer spectra,
 fixed points, expectation values and half-chain entanglement entropy.
 
+Everything is closed form: the fixed point is a spectral projection and the
+boundary state is built from the fixed point's eigenvectors, with no search.
+
 Conventions: the site tensor V has shape (2, chi, chi) indexed [sigma, alpha,
 beta].  The bond state propagates left-to-right as rho' = sum_s K_s rho K_s^dag
 with K_s = V_s^T, which makes the channel exactly the partial trace of the
@@ -13,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 ISO_TOL = 1e-10
 
@@ -142,55 +144,52 @@ def apply_channel(channel: BondChannel, rho: np.ndarray) -> np.ndarray:
     return k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
 
 
-def _hermitize_psd(m: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2, clip negative eigenvalues, renormalize trace."""
-    h = (m + m.conj().T) / 2
-    w, u = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    h = (u * w) @ u.conj().T
-    return h / np.trace(h).real
-
-
 def symmetric_boundary(chi: int) -> BoundaryState:
     return BoundaryState(np.full(chi, 1 / np.sqrt(chi)))
 
 
+def project_fixed_point(evals: np.ndarray, evecs: np.ndarray,
+                        boundary: np.ndarray) -> np.ndarray:
+    """Fixed point the iterated channel reaches from a boundary density: its
+    projection onto the eigenvalue-1 eigenspace of the transfer matrix
+    (eigenvalues ``evals``, right eigenvectors ``evecs``).  That is the limit
+    of the iterates' running mean; the only fixed point if it is unique.
+    """
+    chi = boundary.shape[0]
+    coeffs = np.linalg.solve(evecs, boundary.reshape(-1).astype(complex))
+    keep = np.abs(evals - 1.0) < 1e-9
+    rho = (evecs[:, keep] @ coeffs[keep]).reshape(chi, chi)
+    rho = (rho + rho.conj().T) / 2
+    tr = np.trace(rho).real
+    if abs(tr) < 1e-12:
+        raise BondsimError("boundary has no weight on the fixed-point space")
+    return rho / tr
+
+
 def transfer_spectrum(channel: BondChannel, boundary: BoundaryState | None = None,
                       degeneracy_tol: float = 1e-8) -> ChannelSpectrum:
+    """Eigenvalues, fixed point and slowest left eigen-operator of a channel.
+
+    Degenerate means a second eigenvalue on the unit circle (a second fixed
+    point or a periodic orbit); the fixed point is then the one reached from
+    ``boundary``, by default the symmetric state (the cat-state branch).
+    """
     chi = channel.chi
     evals, evecs = np.linalg.eig(channel.transfer)
     order = np.argsort(-np.abs(evals))
     evals, evecs = evals[order], evecs[:, order]
-
-    degenerate = chi > 1 and abs(evals[1] - 1.0) < degeneracy_tol
-
-    if degenerate:
-        # Pick the fixed point reachable from the configured boundary: iterate
-        # the channel until stationary.  Default boundary is the symmetric one,
-        # which selects the cat-state branch deep in the ordered phase.
-        if boundary is None:
-            boundary = symmetric_boundary(chi)
-        rho = boundary.density()
-        for _ in range(10000):
-            nxt = apply_channel(channel, rho)
-            if np.linalg.norm(nxt - rho) < 1e-14:
-                rho = nxt
-                break
-            rho = nxt
-        fixed = _hermitize_psd(rho)
-    else:
-        idx = int(np.argmin(np.abs(evals - 1.0)))
-        fixed = _hermitize_psd(evecs[:, idx].reshape(chi, chi))
+    degenerate = chi > 1 and abs(evals[1]) > 1.0 - degeneracy_tol
+    if boundary is None:
+        boundary = symmetric_boundary(chi)
+    fixed = project_fixed_point(evals, evecs, boundary.density())
 
     # Left eigen-operator at the subdominant eigenvalue: the Hilbert-Schmidt
     # overlap Tr(E2^dag rho_0) is the coefficient of the slowest transient.
     sub = np.zeros((chi, chi), dtype=complex)
     if chi > 1:
         lvals, lvecs = np.linalg.eig(channel.transfer.conj().T)
-        target = np.conj(evals[1])
-        lidx = int(np.argmin(np.abs(lvals - target)))
-        vec = lvecs[:, lidx]
-        sub = vec.reshape(chi, chi)
+        lidx = int(np.argmin(np.abs(lvals - np.conj(evals[1]))))
+        sub = lvecs[:, lidx].reshape(chi, chi)
         sub = sub / np.linalg.norm(sub)
 
     return ChannelSpectrum(eigenvalues=evals, fixed_point=fixed,
@@ -220,10 +219,7 @@ def half_chain_entropy(tensor: MPSTensor, boundary: BoundaryState, j: int) -> En
     i.e. the MPS bipartite entanglement across the cut after site j."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    channel = bond_channel(tensor)
-    rho = boundary.density()
-    for _ in range(j):
-        rho = apply_channel(channel, rho)
+    rho = _iterate(bond_channel(tensor), boundary, j)
     return entanglement_entropy(rho, tol=1e-6)
 
 
@@ -292,6 +288,8 @@ def fixed_point_energy(tensor: MPSTensor, lam: float) -> float:
 
 def burn_in_length(channel: BondChannel, tol: float) -> int:
     """Smallest j with |mu_2|^j <= tol; mu_2 = largest modulus strictly < 1."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"burn-in tolerance {tol} is not in (0, 1)")
     spec = transfer_spectrum(channel)
     if spec.degenerate:
         raise DegenerateChannelError(
@@ -304,33 +302,38 @@ def burn_in_length(channel: BondChannel, tol: float) -> int:
     return max(1, int(np.ceil(np.log(tol) / np.log(mu2))))
 
 
-def select_boundary(spectrum: ChannelSpectrum, n_restarts: int = 16,
-                    seed: int = 7) -> tuple[BoundaryState, float]:
-    """Pure state |L> minimizing |Tr(E2^dag |L><L|)|; returns achieved overlap."""
+def select_boundary(spectrum: ChannelSpectrum) -> tuple[BoundaryState, float]:
+    """Pure state |L> with Tr(E2^dag |L><L|) = 0; returns the overlap reached.
+
+    E2 is a left eigen-operator at an eigenvalue other than 1, so
+    Tr(E2^dag rho) = 0 at the fixed point rho = sum_k p_k |psi_k><psi_k|: the
+    weighted mean of z_k = <psi_k|E2^dag|psi_k> is 0.  Folding in the psi_k in
+    order of decreasing p_k, each step keeps <v|E2^dag|v> at the running
+    weighted mean, which ends at 0 (the two-vector step of Carden, Inverse
+    Problems 25, 115019 (2009)).
+    """
     if spectrum.degenerate:
         raise DegenerateChannelError("subdominant mode is not unique")
-    e2 = spectrum.subdominant_mode
-    chi = e2.shape[0]
-
-    def overlap(params: np.ndarray) -> float:
-        v = params[:chi] + 1j * params[chi:]
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            return 1.0
-        v = v / n
-        return abs(v.conj() @ e2.conj().T @ v)
-
-    rng = np.random.default_rng(seed)
-    best_val, best_vec = np.inf, None
-    for _ in range(n_restarts):
-        x0 = rng.normal(size=2 * chi)
-        res = minimize(overlap, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        if res.fun < best_val:
-            best_val = res.fun
-            v = res.x[:chi] + 1j * res.x[chi:]
-            best_vec = v / np.linalg.norm(v)
+    a = spectrum.subdominant_mode.conj().T
+    p, psi = np.linalg.eigh(spectrum.fixed_point)
+    v, weight = psi[:, -1], p[-1]
+    for pk, y in zip(np.clip(p[-2::-1], 0.0, None), psi[:, -2::-1].T):
+        # Move <v|A|v> the fraction s of the way to <y|A|y>.  With the segment
+        # turned onto the real axis (rot), v' = v + t e^{i phi} y and phi making
+        # the cross term real, this is (1-s) n t^2 + c t - s n = 0.
+        weight += pk
+        s = pk / weight
+        av, ay = v.conj() @ a @ v, y.conj() @ a @ y
+        rot = np.conj(ay - av)
+        n = abs(rot) ** 2
+        beta, gamma = rot * (v.conj() @ a @ y), rot * (y.conj() @ a @ v)
+        phase = np.exp(-1j * np.angle(beta - np.conj(gamma)))
+        c = (phase * beta + np.conj(phase) * gamma).real
+        # the root of smaller modulus, in the form that does not cancel
+        den = c + np.copysign(np.sqrt(c * c + 4 * s * (1 - s) * n * n), c)
+        t = 2 * s * n / den if den != 0.0 else 0.0
+        v = (v + t * phase * y) / np.sqrt(1 + t * t)
     # Fix the arbitrary global phase so results are deterministic.
-    k = int(np.argmax(np.abs(best_vec)))
-    best_vec = best_vec * np.exp(-1j * np.angle(best_vec[k]))
-    return BoundaryState(best_vec), float(best_val)
+    k = int(np.argmax(np.abs(v)))
+    v = v * np.exp(-1j * np.angle(v[k]))
+    return BoundaryState(v), float(abs(v.conj() @ a @ v))

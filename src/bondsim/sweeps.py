@@ -68,6 +68,9 @@ class SweepConfig:
             raise ValueError("lambda grid must be sorted")
         if self.shots < 1:
             raise ValueError("shots must be positive")
+        if not 0.0 < self.burn_in_tol < 1.0:
+            raise ValueError(
+                f"burn-in tolerance {self.burn_in_tol} is not in (0, 1)")
 
 
 def default_mode(n_b: int) -> str:
@@ -145,8 +148,9 @@ def _store_params(path: str, key: str, params: AnsatzParams) -> None:
 def prepare_point(params: AnsatzParams, burn_in_tol: float):
     """(channel spectrum, boundary prep, iteration count) for one state.
 
-    Near-degenerate channels (the symmetry-broken end of the grid) fall back
-    to the symmetric boundary and a capped iteration count.
+    Degenerate channels (a second eigenvalue on the unit circle: the
+    symmetry-broken end of the grid, or a periodic orbit) fall back to the
+    symmetric boundary and a fixed iteration count.
     """
     tensor = params.tensor()
     channel = mps.bond_channel(tensor)
@@ -320,9 +324,7 @@ def run_validation(config: SweepConfig | None = None) -> dict:
     circuit = build_state_prep_circuit(params, prep, j, purpose="tomography",
                                        setting=("Z",) * cfg.n_b)
     res = simulate_exact(circuit)
-    rho = boundary.density()
-    for _ in range(j):
-        rho = mps.apply_channel(channel, rho)
+    rho = mps._iterate(channel, boundary, j)
     _check(report, "channel-consistency",
            np.linalg.norm(res.bond_rho - rho) < 1e-10)
 

@@ -144,18 +144,30 @@ def test_boundary_prep_first_column():
     assert np.linalg.norm(w @ e0 - v) < 1e-12
 
 
-def test_canonical_gauge_nulls_yy_zz():
-    rng = np.random.default_rng(41)
-    angles = rng.uniform(-np.pi, np.pi, ansatz_num_params(2))
-    t = extract_isometry(build_ansatz_unitary(angles, 2), 2)
+def _gauge_case(case):
+    if case == "random":
+        rng = np.random.default_rng(41)
+        angles = rng.uniform(-np.pi, np.pi, ansatz_num_params(2))
+        return extract_isometry(build_ansatz_unitary(angles, 2), 2)
+    if case == "zero":   # (Y, Z) block exactly 0: atan2(0, 0)
+        return extract_isometry(
+            build_ansatz_unitary(np.zeros(ansatz_num_params(2)), 2), 2)
+    from bondsim.sweeps import get_params
+    return get_params(case, 2, optimize_if_missing=False).tensor()
+
+
+@pytest.mark.parametrize("case", ["random", "zero", 1.01, 1.05, 1.1, 1.15,
+                                  1.2])
+def test_canonical_gauge_nulls_yy_zz(case):
+    t = _gauge_case(case)
     gauged, g, ths = canonical_gauge(t)
     assert mps.is_isometry(gauged)
     rho = steady_state(gauged)
     from bondsim.gates import PAULI
     def coeff(label):
         return np.trace(rho @ kron_all(*[PAULI[c] for c in label])).real
-    assert abs(coeff("YY")) < 1e-10
-    assert abs(coeff("ZZ")) < 1e-10
+    assert abs(coeff("YY")) < 1e-12
+    assert abs(coeff("ZZ")) < 1e-12
     # gauge consistency: gauged fixed point is G rho_old G^dag
     rho_old = steady_state(t)
     assert np.linalg.norm(rho - g @ rho_old @ g.conj().T) < 1e-9

@@ -23,6 +23,9 @@ def test_default_energy_grid():
 def test_bad_usage_exit_code():
     assert main(["energy-sweep", "--shots", "not-a-number"]) == 2
     assert main(["no-such-command"]) == 2
+    for tol in ("0", "1", "2", "nan"):
+        assert main(["energy-sweep", "--lambda-list", "1.2",
+                     "--burn-in-tol", tol]) == 2
 
 
 def test_oracle_command(tmp_path):

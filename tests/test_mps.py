@@ -108,20 +108,55 @@ def test_burn_in_length_controls_distance():
     assert np.linalg.norm(rho - spec.fixed_point) < 50 * tol
     assert abs(spec.eigenvalues[1]) ** j <= tol * (1 + 1e-9)
     assert abs(spec.eigenvalues[1]) ** (j - 1) > tol
+    for bad in (0.0, 1.0, 2.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError):
+            mps.burn_in_length(ch, bad)
 
 
-def test_select_boundary_kills_slowest_transient():
-    t = random_isometric_tensor(4, 23)
+@pytest.mark.parametrize("chi,seed", [(2, 1), (2, 5), (2, 17), (4, 23),
+                                      (4, 2), (4, 40), (8, 3), (8, 12)])
+def test_select_boundary_kills_slowest_transient(chi, seed):
+    t = random_isometric_tensor(chi, seed)
     ch = mps.bond_channel(t)
     spec = mps.transfer_spectrum(ch)
     boundary, overlap = mps.select_boundary(spec)
     ov = abs(boundary.vector.conj() @ spec.subdominant_mode.conj().T
              @ boundary.vector)
     assert np.isclose(ov, overlap, atol=1e-9)
-    sym = mps.symmetric_boundary(4)
+    assert overlap < 1e-11
+    # biorthogonality: the slowest mode carries no weight at the fixed point
+    assert abs(np.trace(spec.subdominant_mode.conj().T @ spec.fixed_point)) < 1e-12
+    again, _ = mps.select_boundary(spec)
+    assert np.array_equal(again.vector, boundary.vector)
+    sym = mps.symmetric_boundary(chi)
     ov_sym = abs(sym.vector.conj() @ spec.subdominant_mode.conj().T
                  @ sym.vector)
     assert overlap <= ov_sym + 1e-12
+
+
+def _cycle_tensor(chi):
+    """Isometric tensor whose channel permutes the basis states cyclically
+    (K_0 = |1><0| + |2><1| + ..., K_1 the rest of the cycle), so its transfer
+    eigenvalues include every chi-th root of unity."""
+    k = [np.zeros((chi, chi)), np.zeros((chi, chi))]
+    for a in range(chi):
+        k[a >= chi // 2][(a + 1) % chi, a] = 1.0
+    return MPSTensor(np.stack([k[0].T, k[1].T]))
+
+
+@pytest.mark.parametrize("chi", [2, 4])
+def test_periodic_channel_is_degenerate(chi):
+    ch = mps.bond_channel(_cycle_tensor(chi))
+    spec = mps.transfer_spectrum(ch)
+    roots = np.exp(2j * np.pi * np.arange(chi) / chi)
+    assert all(np.min(np.abs(spec.eigenvalues - r)) < 1e-12 for r in roots)
+    assert spec.degenerate
+    # the reachable fixed point is the running mean of the iterates
+    assert np.allclose(spec.fixed_point, np.eye(chi) / chi, atol=1e-12)
+    with pytest.raises(DegenerateChannelError):
+        mps.burn_in_length(ch, 1e-4)
+    with pytest.raises(DegenerateChannelError):
+        mps.select_boundary(spec)
 
 
 def test_entanglement_entropy_basics():
