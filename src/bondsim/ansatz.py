@@ -44,11 +44,9 @@ __all__ = [
     "build_ansatz_unitary",
     "build_full_unitary",
     "canonical_gauge",
-    "complete_isometry",
     "extract_isometry",
     "flip_covariance_error",
     "gxy_gate",
-    "gzy_gate",
     "steady_state",
     "tensor_energy",
     "variational_optimize",
@@ -62,16 +60,6 @@ __all__ = [
 def gxy_gate(alpha: float, beta: float) -> np.ndarray:
     """Two-qubit tile cZ (Rx(alpha) x Ry(beta)) cZ."""
     return CZ @ np.kron(rx(alpha), ry(beta)) @ CZ
-
-
-def gzy_gate(alpha: float, beta: float) -> np.ndarray:
-    """gxy tile conjugated by a fixed Ry(pi/2) basis change on the first qubit.
-
-    The conjugation turns the inner Rx(alpha) into an Rz rotation (hence the
-    name); the entanglers pick up the same basis change.
-    """
-    f = np.kron(ry(np.pi / 2), I2)
-    return f.conj().T @ gxy_gate(alpha, beta) @ f
 
 
 _IH = np.kron(I2, H)
@@ -213,29 +201,6 @@ def extract_isometry(u: np.ndarray, n_b: int) -> MPSTensor:
         raise ValueError("unitary dimension does not match n_b")
     v = u.reshape(2, chi, 2, chi)[:, :, 0, :].transpose(0, 2, 1)
     return MPSTensor(data=np.ascontiguousarray(v))
-
-
-def complete_isometry(tensor: MPSTensor) -> np.ndarray:
-    """Extend the isometry columns to a full unitary on 1 + n_b qubits.
-
-    Columns |0, alpha> are fixed by the tensor; the remaining columns are an
-    arbitrary orthonormal completion (Gram-Schmidt against the fixed block).
-    """
-    v = tensor.data
-    chi = v.shape[1]
-    dim = 2 * chi
-    u = np.zeros((dim, dim), dtype=complex)
-    for alpha in range(chi):
-        u[:, alpha] = v[:, alpha, :].reshape(dim)
-    # Orthonormal completion of the column space.
-    proj = np.eye(dim) - u[:, :chi] @ u[:, :chi].conj().T
-    q, r = np.linalg.qr(proj)
-    cols = [q[:, k] for k in range(dim) if abs(r[k, k]) > 1e-10]
-    if len(cols) != chi:
-        raise BondsimError("isometry completion failed; tensor not isometric?")
-    for k, col in enumerate(cols):
-        u[:, chi + k] = col
-    return u
 
 
 # ---------------------------------------------------------------------------

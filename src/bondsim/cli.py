@@ -132,22 +132,7 @@ def _noise(args) -> NoiseModel | None:
 
 
 def _emit(rows, fmt: str, out: str | None) -> None:
-    if out:
-        write_table(rows, out, fmt)
-        return
-    if fmt == "json":
-        json.dump(rows, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
-        return
-    import csv
-    cols = []
-    for row in rows:
-        for k in row:
-            if k not in cols:
-                cols.append(k)
-    writer = csv.DictWriter(sys.stdout, fieldnames=cols)
-    writer.writeheader()
-    writer.writerows(rows)
+    write_table(rows, out or sys.stdout, fmt)
 
 
 def _cmd_optimize(args) -> int:

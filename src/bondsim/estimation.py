@@ -1,23 +1,26 @@
-"""Shot records to physics: energies, tomography, entropy, error bars.
+"""Shots to physics: energies, tomography, entropy, error bars.
 
-Energy uses the X,Z,Z measurement schedule (one transverse-field sample and
-one nearest-neighbor ZZ sample per shot).  Tomography reconstructs the bond
-register by linear inversion, optionally restricted to the Pauli
-coefficients allowed by the Ising flip symmetry, followed by projection onto
-the nearest trace-one PSD matrix.  Confidence intervals come from
-multinomial bootstrap resampling of the per-setting count tables.
+Shots arrive as columns (``simulator.ShotTable``).  Energy uses the X,Z,Z
+measurement schedule (one transverse-field sample and one nearest-neighbor
+ZZ sample per shot) and reads three columns.  A tomogram holds one count
+vector per measurement setting, indexed by the bond bits.  The bond state is
+reconstructed by linear inversion, optionally restricted to the Pauli
+coefficients allowed by the Ising flip symmetry, and its spectrum is
+projected onto the probability simplex (the nearest trace-one PSD matrix).
+Error bars come from a multinomial bootstrap of the count vectors: every
+resample is drawn at once, and the stack goes through the same array
+pipeline as the point estimate.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gates import PAULI, kron_all
-from .mps import BondsimError, entanglement_entropy
+from .mps import BondsimError, entanglement_entropy, entropy_bits
 from .noise import ZNEPair, zne_extrapolate
 
 __all__ = [
@@ -29,8 +32,7 @@ __all__ = [
     "entropy_with_ci",
     "expectations_from_tomogram",
     "project_psd",
-    "reconstruct_1q",
-    "reconstruct_2q",
+    "project_simplex",
     "rho_from_expectations",
     "tomogram_from_shots",
 ]
@@ -50,10 +52,10 @@ class EnergyEstimate:
             raise ValueError("sigma must be nonnegative")
 
 
-def _energy_labels(outcomes: dict) -> tuple:
+def _energy_labels(labels) -> tuple:
     """Locate the single X label and the two consecutive Z labels."""
-    xs = sorted(k for k in outcomes if k.endswith(":X") and k.startswith("m"))
-    zs = sorted((int(k[1:].split(":")[0]), k) for k in outcomes
+    xs = sorted(k for k in labels if k.endswith(":X") and k.startswith("m"))
+    zs = sorted((int(k[1:].split(":")[0]), k) for k in labels
                 if k.endswith(":Z") and k.startswith("m"))
     if len(xs) != 1 or len(zs) != 2:
         raise BondsimError("shots must carry one X and two Z measurement labels")
@@ -62,14 +64,14 @@ def _energy_labels(outcomes: dict) -> tuple:
     return xs[0], zs[0][1], zs[1][1]
 
 
-def energy_from_records(shots: list, lam: float) -> EnergyEstimate:
-    """e = -(<Z Z> + lambda <X>) with an independent-shot standard error."""
-    if not shots:
+def energy_from_records(shots, lam: float) -> EnergyEstimate:
+    """e = -(<Z Z> + lambda <X>) with an independent-shot standard error,
+    from the X column and the two Z columns of a ShotTable."""
+    if not len(shots):
         raise BondsimError("no shots")
-    lx, lz1, lz2 = _energy_labels(shots[0].outcomes)
-    x = np.array([s.outcomes[lx] for s in shots], dtype=float)
-    zz = np.array([s.outcomes[lz1] * s.outcomes[lz2] for s in shots],
-                  dtype=float)
+    lx, lz1, lz2 = _energy_labels(shots.labels)
+    x = shots.column(lx).astype(float)
+    zz = (shots.column(lz1) * shots.column(lz2)).astype(float)
     per_shot = -(zz + lam * x)
     n = len(shots)
     sigma = float(per_shot.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -83,11 +85,28 @@ def energy_from_records(shots: list, lam: float) -> EnergyEstimate:
 # tomograms
 
 
+def _paulis(n_b: int) -> list:
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=n_b)]
+
+
+def _signs(pauli: str) -> np.ndarray:
+    """+1 / -1 per bond bit string: the parity of its bits where the Pauli
+    string is not I."""
+    n = len(pauli)
+    bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return 1 - 2 * (bits[:, [c != "I" for c in pauli]].sum(axis=1) % 2)
+
+
 @dataclass(frozen=True)
 class Tomogram:
-    """Per-setting bitstring counts from terminal bond-register measurements."""
+    """Bond-register counts: one vector of length 2^n_b per setting.
 
-    settings: dict            # basis tuple -> {bitstring: count}
+    Entry k counts the shots whose bond bits read k, wire 1 the most
+    significant bit and bit 1 the outcome -1.  A resampled tomogram holds a
+    stack of such vectors per setting, shape (resamples, 2^n_b).
+    """
+
+    settings: dict            # basis tuple -> count vector(s)
     shots_per_setting: int    # smallest shot count over the settings
     metadata: dict = field(default_factory=dict)
 
@@ -95,74 +114,67 @@ class Tomogram:
     def n_b(self) -> int:
         return len(next(iter(self.settings)))
 
-    def expectation(self, pauli: str) -> float:
-        """Estimate <P> from the first setting compatible with the string."""
+    def expectation(self, pauli: str):
+        """Estimate <P> from the first setting compatible with the string
+        (one value per resample of a resampled tomogram)."""
         if set(pauli) == {"I"}:
             return 1.0
         for setting, counts in self.settings.items():
             if all(c == "I" or c == b for c, b in zip(pauli, setting)):
-                total = sum(counts.values())
-                acc = 0
-                for bits, cnt in counts.items():
-                    sign = 1
-                    for c, b in zip(pauli, bits):
-                        if c != "I" and b == "1":
-                            sign = -sign
-                    acc += sign * cnt
-                return acc / total
+                return counts @ _signs(pauli) / counts.sum(axis=-1)
         raise BondsimError(f"no measurement setting covers {pauli!r}")
 
-    def resample(self, rng: np.random.Generator) -> "Tomogram":
-        """Multinomial bootstrap resample of every setting's count table."""
-        new = {}
-        for setting, counts in self.settings.items():
-            keys = sorted(counts)
-            total = sum(counts[k] for k in keys)
-            probs = np.array([counts[k] for k in keys], dtype=float) / total
-            draw = rng.multinomial(total, probs)
-            new[setting] = {k: int(d) for k, d in zip(keys, draw)}
+    def resample(self, rng: np.random.Generator, size: int) -> "Tomogram":
+        """``size`` multinomial bootstrap resamples of every setting's
+        counts, drawn at once."""
+        new = {setting: rng.multinomial(counts.sum(), counts / counts.sum(),
+                                        size=size)
+               for setting, counts in self.settings.items()}
         return Tomogram(settings=new, shots_per_setting=self.shots_per_setting,
                         metadata=dict(self.metadata))
 
 
-def tomogram_from_shots(records_by_setting: dict, n_b: int,
+def tomogram_from_shots(shots_by_setting: dict, n_b: int,
                         metadata: dict | None = None) -> Tomogram:
-    """Bin ShotRecord lists (one list per setting) into count tables.
+    """Count each setting's ShotTable by its bond bits.
 
     Bond-measurement labels are "b{wire}:{basis}"; outcome +1 maps to bit 0.
-    ``shots_per_setting`` is the smallest record count over the settings.
+    ``shots_per_setting`` is the smallest shot count over the settings.
     """
+    weights = 1 << np.arange(n_b - 1, -1, -1)
     settings = {}
-    for setting, records in records_by_setting.items():
-        counts: dict[str, int] = {}
-        for r in records:
-            bits = ""
-            for k in range(n_b):
-                lab = f"b{1 + k}:{setting[k]}"
-                bits += "0" if r.outcomes[lab] == 1 else "1"
-            counts[bits] = counts.get(bits, 0) + 1
-        settings[tuple(setting)] = counts
-    per_setting = min(map(len, records_by_setting.values()), default=None)
+    for setting, shots in shots_by_setting.items():
+        bits = np.column_stack([shots.column(f"b{1 + k}:{setting[k]}") < 0
+                                for k in range(n_b)])
+        settings[tuple(setting)] = np.bincount(bits @ weights,
+                                               minlength=2 ** n_b)
+    per_setting = min(map(len, shots_by_setting.values()), default=None)
     return Tomogram(settings=settings, shots_per_setting=per_setting,
                     metadata=metadata or {})
+
+
+def _coefficients(tomo: Tomogram, restricted: bool) -> np.ndarray:
+    """Every Pauli-string expectation the tomogram determines, in
+    product("IXYZ") order on the last axis, resamples on the leading axis."""
+    n_b = tomo.n_b
+    lead = next(iter(tomo.settings.values())).shape[:-1]
+    out = np.zeros(lead + (4 ** n_b,))
+    for i, pauli in enumerate(_paulis(n_b)):
+        if restricted and n_b == 2 and pauli not in RESTRICTED_PATTERN:
+            continue
+        try:
+            out[..., i] = tomo.expectation(pauli)
+        except BondsimError:
+            if restricted:
+                raise
+    return out
 
 
 def expectations_from_tomogram(tomo: Tomogram,
                                restricted: bool = False) -> dict:
     """All Pauli-string expectations the tomogram determines."""
-    n_b = tomo.n_b
-    out = {}
-    for pauli in map("".join, itertools.product("IXYZ", repeat=n_b)):
-        if restricted and n_b == 2 and pauli not in RESTRICTED_PATTERN:
-            out[pauli] = 0.0
-            continue
-        try:
-            out[pauli] = tomo.expectation(pauli)
-        except BondsimError:
-            if restricted:
-                raise
-            out[pauli] = 0.0
-    return out
+    return dict(zip(_paulis(tomo.n_b),
+                    np.moveaxis(_coefficients(tomo, restricted), -1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +188,24 @@ class DensityEstimate:
     raw_min_eigenvalue: float
 
 
+def project_simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every vector along the last axis onto the
+    probability simplex: w + shift, clipped at 0, with the shift that makes
+    the kept entries sum to 1."""
+    desc = -np.sort(-w, axis=-1)
+    csum = np.cumsum(desc, axis=-1)
+    ks = np.arange(1, w.shape[-1] + 1)
+    feasible = desc + (1.0 - csum) / ks > 0
+    k = np.max(np.where(feasible, ks, 1), axis=-1, keepdims=True)
+    shift = (1.0 - np.take_along_axis(csum, k - 1, axis=-1)) / k
+    return np.maximum(w + shift, 0.0)
+
+
 def project_psd(rho: np.ndarray) -> DensityEstimate:
     """Nearest trace-1 PSD matrix (eigenvalue simplex projection).
 
-    Eigenvalues are clipped from below with the deficit spread uniformly over
-    the remaining positive eigenvalues, i.e. Euclidean projection of the
-    spectrum onto the probability simplex.  Idempotent.
+    The eigenbasis is kept and the spectrum is projected onto the
+    probability simplex (``project_simplex``).  Idempotent.
     """
     h = (rho + rho.conj().T) / 2
     w, u = np.linalg.eigh(h)
@@ -189,62 +213,25 @@ def project_psd(rho: np.ndarray) -> DensityEstimate:
     if raw_min >= 0 and abs(w.sum() - 1.0) < 1e-12:
         return DensityEstimate(rho=h, psd_projected=False,
                                raw_min_eigenvalue=raw_min)
-    desc = np.sort(w)[::-1]
-    csum = np.cumsum(desc)
-    ks = np.arange(1, len(desc) + 1)
-    feasible = desc + (1.0 - csum) / ks > 0
-    k = int(np.max(ks[feasible]))
-    shift = (1.0 - csum[k - 1]) / k
-    # Keep the k largest eigenvalues (shifted); zero the rest.
-    order = np.argsort(w)[::-1]
-    keep = np.zeros(len(w), dtype=bool)
-    keep[order[:k]] = True
-    clipped = np.where(keep, w + shift, 0.0)
-    out = (u * clipped) @ u.conj().T
+    out = (u * project_simplex(w)) @ u.conj().T
     return DensityEstimate(rho=out, psd_projected=True,
                            raw_min_eigenvalue=raw_min)
 
 
+def _pauli_basis(n_b: int) -> np.ndarray:
+    """Every n_b-qubit Pauli string's matrix, in product("IXYZ") order."""
+    return np.stack([kron_all(*[PAULI[c] for c in p]) for p in _paulis(n_b)])
+
+
+def _rho(coeffs: np.ndarray, n_b: int) -> np.ndarray:
+    """Linear inversion rho = 2^{-n} sum_P <P> P over the last axis."""
+    return np.einsum("...p,pij->...ij", coeffs, _pauli_basis(n_b)) / 2 ** n_b
+
+
 def rho_from_expectations(exps: dict) -> np.ndarray:
-    """Linear inversion: rho = 2^{-n} sum_P <P> P."""
+    """Linear inversion: rho = 2^{-n} sum_P <P> P (missing strings are 0)."""
     n = len(next(iter(exps)))
-    dim = 2 ** n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for pauli, val in exps.items():
-        rho += val * kron_all(*[PAULI[c] for c in pauli])
-    return rho / dim
-
-
-def reconstruct_1q(tomogram: Tomogram) -> DensityEstimate:
-    """Single bond qubit: rho = (I + <X>X + <Y>Y + <Z>Z) / 2, then PSD."""
-    if tomogram.n_b != 1:
-        raise ValueError("reconstruct_1q needs a single-wire tomogram")
-    exps = expectations_from_tomogram(tomogram)
-    return project_psd(rho_from_expectations(exps))
-
-
-def reconstruct_2q(tomogram: Tomogram, restricted: bool = False) -> DensityEstimate:
-    """Two bond qubits, optionally using only the symmetry-allowed pattern.
-
-    In restricted mode every coefficient outside {II, IX, XI, XX, YZ, ZY} is
-    zeroed.  When the tomogram nevertheless contains the full 9 settings, the
-    forbidden coefficients are checked against their shot noise and a warning
-    is issued if any exceeds 3 sigma (the symmetry only holds for the ideal
-    state).
-    """
-    if tomogram.n_b != 2:
-        raise ValueError("reconstruct_2q needs a two-wire tomogram")
-    if restricted and len(tomogram.settings) == 9:
-        sig = 1.0 / np.sqrt(max(tomogram.shots_per_setting or 1, 1))
-        for pauli in map("".join, itertools.product("IXYZ", repeat=2)):
-            if pauli in RESTRICTED_PATTERN:
-                continue
-            if abs(tomogram.expectation(pauli)) > 3 * sig:
-                warnings.warn(
-                    f"coefficient {pauli} violates the flip symmetry at 3 sigma",
-                    stacklevel=2)
-    exps = expectations_from_tomogram(tomogram, restricted=restricted)
-    return project_psd(rho_from_expectations(exps))
+    return _rho(np.array([exps.get(p, 0.0) for p in _paulis(n)]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +247,19 @@ def entropy_from_expectations(exps: dict, restricted: bool = False) -> float:
     return entanglement_entropy(est.rho).entropy_bits
 
 
-def _pipeline_entropy(tomo: Tomogram, folded: Tomogram | None,
-                      restricted: bool) -> float:
-    exps = expectations_from_tomogram(tomo, restricted=restricted)
+def _tomography_entropy(tomo: Tomogram, folded: Tomogram | None,
+                        restricted: bool) -> np.ndarray:
+    """Pauli expectations -> zero-noise extrapolation against the folded
+    tomogram (if any) -> linear inversion -> simplex-projected spectrum ->
+    entropy in bits, over the resample axis of resampled tomograms."""
+    coeffs = _coefficients(tomo, restricted)
     if folded is not None:
-        fexps = expectations_from_tomogram(folded, restricted=restricted)
-        exps = zne_extrapolate(ZNEPair(base_estimates=exps,
-                                       folded_estimates=fexps))
-    est = project_psd(rho_from_expectations(exps))
-    return entanglement_entropy(est.rho).entropy_bits
+        coeffs = zne_extrapolate(ZNEPair(
+            base_estimates={"coeffs": coeffs},
+            folded_estimates={"coeffs": _coefficients(folded, restricted)}
+        ))["coeffs"]
+    w = np.linalg.eigvalsh(_rho(coeffs, tomo.n_b))
+    return entropy_bits(project_simplex(w))
 
 
 def entropy_with_ci(tomogram: Tomogram, mitigation: Tomogram | None = None,
@@ -277,20 +268,19 @@ def entropy_with_ci(tomogram: Tomogram, mitigation: Tomogram | None = None,
     """(S_vN, sigma): point estimate plus bootstrap standard deviation.
 
     mitigation, when given, is the tomogram of the noise-folded circuit;
-    expectations are extrapolated to zero noise before assembly.  Every
-    bootstrap resample re-runs the full reconstruct -> project -> entropy
-    pipeline on multinomially-resampled count tables.
+    expectations are extrapolated to zero noise before assembly.  All
+    bootstrap_b multinomial resamples of every setting are drawn at once and
+    go through the pipeline of the point estimate as one stack.
     """
     if bootstrap_b < 100:
         raise ValueError("use at least 100 bootstrap resamples")
     if tomogram.shots_per_setting is not None and tomogram.shots_per_setting < 50:
         raise BondsimError("fewer than 50 shots per setting; refusing to "
                            "estimate an entropy")
-    point = _pipeline_entropy(tomogram, mitigation, restricted)
+    point = _tomography_entropy(tomogram, mitigation, restricted)
     rng = np.random.default_rng(seed)
-    draws = np.empty(bootstrap_b)
-    for b in range(bootstrap_b):
-        t = tomogram.resample(rng)
-        f = mitigation.resample(rng) if mitigation is not None else None
-        draws[b] = _pipeline_entropy(t, f, restricted)
+    draws = _tomography_entropy(
+        tomogram.resample(rng, bootstrap_b),
+        mitigation.resample(rng, bootstrap_b) if mitigation is not None
+        else None, restricted)
     return float(point), float(draws.std(ddof=1))

@@ -209,9 +209,16 @@ def entanglement_entropy(rho: np.ndarray, tol: float = 1e-8) -> EntropyResult:
     w = np.clip(w, 0.0, None)
     w = np.sort(w)[::-1]
     w = w / w.sum()
-    nz = w[w > 0]
-    s = float(-(nz * np.log2(nz)).sum())
-    return EntropyResult(entropy_bits=max(s, 0.0), schmidt_spectrum=w)
+    return EntropyResult(entropy_bits=float(entropy_bits(w)),
+                         schmidt_spectrum=w)
+
+
+def entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of the probability vectors along the last
+    axis (0 log 0 = 0), never below 0."""
+    p = np.asarray(p, dtype=float)
+    logs = np.log2(np.where(p > 0, p, 1.0))
+    return np.maximum(-(p * logs).sum(axis=-1), 0.0)
 
 
 def half_chain_entropy(tensor: MPSTensor, boundary: BoundaryState, j: int) -> EntropyResult:
@@ -286,17 +293,16 @@ def fixed_point_energy(tensor: MPSTensor, lam: float) -> float:
     return float(-(ezz + lam * ex))
 
 
-def burn_in_length(channel: BondChannel, tol: float) -> int:
+def burn_in_length(spectrum: ChannelSpectrum, tol: float) -> int:
     """Smallest j with |mu_2|^j <= tol; mu_2 = largest modulus strictly < 1."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"burn-in tolerance {tol} is not in (0, 1)")
-    spec = transfer_spectrum(channel)
-    if spec.degenerate:
+    if spectrum.degenerate:
         raise DegenerateChannelError(
             "channel has a degenerate fixed point; choose the iteration count manually")
-    if channel.chi == 1:
+    if len(spectrum.eigenvalues) == 1:
         return 1
-    mu2 = abs(spec.eigenvalues[1])
+    mu2 = abs(spectrum.eigenvalues[1])
     if mu2 <= tol or mu2 == 0.0:
         return 1
     return max(1, int(np.ceil(np.log(tol) / np.log(mu2))))

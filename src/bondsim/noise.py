@@ -145,16 +145,13 @@ def zne_extrapolate(pair: ZNEPair) -> dict:
     }
 
 
-def leakage_postselect(shots: list, check_label: str = "leak") -> tuple:
+def leakage_postselect(shots, check_label: str = "leak") -> tuple:
     """Drop shots whose leak-check flag fired; report the retention fraction.
 
-    Returns (kept shots, retention).  Raises if the label was never recorded
-    or if nothing survives.
+    Takes and returns a ``simulator.ShotTable``: (kept shots, retention).
+    Raises if the label was never recorded or if there are no shots.
     """
-    if not shots:
+    if not len(shots):
         raise ValueError("no shots to filter")
-    if any(check_label not in s.outcomes for s in shots):
-        raise KeyError(f"leak-check label {check_label!r} missing from shots")
-    kept = [s for s in shots if s.outcomes[check_label] == +1]
-    retention = len(kept) / len(shots)
-    return kept, retention
+    kept = shots[shots.column(check_label) == 1]
+    return kept, len(kept) / len(shots)

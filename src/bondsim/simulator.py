@@ -17,12 +17,13 @@ Every noise rule is a CPTP map, or an instrument on that register:
 * leak_check records the ever bit (-1 = leaked).
 
 simulate_exact reads marginals, pair products, retention and the bond state
-off that distribution; sample_shots makes one seeded draw of shots from it.
+off that distribution; sample_shots makes one seeded draw of shots from it
+and returns them as columns, a ShotTable: one int8 column of +-1 per label
+and a leak flag per shot.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,7 +34,7 @@ from .gates import PAULI, embed, native_gate
 from .mps import BondsimError
 from .noise import NoiseModel, depolarize
 
-__all__ = ["ShotRecord", "SimResult", "sample_shots", "simulate_exact",
+__all__ = ["ShotTable", "SimResult", "sample_shots", "simulate_exact",
            "shots_to_csv"]
 
 # Kraus operators of a reset to |0>: |0><0| and |0><1|.
@@ -52,10 +53,24 @@ class SimResult:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    outcomes: dict                # label -> +1 / -1
-    leaked: bool
-    seed: int
+class ShotTable:
+    """Shots as columns: row i is shot i."""
+
+    labels: tuple                 # label of each outcome column, in op order
+    outcomes: np.ndarray          # (shots, labels) int8 of +1 / -1
+    leaked: np.ndarray            # (shots,) bool: the shot ever leaked
+
+    def __len__(self) -> int:
+        return len(self.leaked)
+
+    def column(self, label: str) -> np.ndarray:
+        if label not in self.labels:
+            raise KeyError(f"no outcome column {label!r}")
+        return self.outcomes[:, self.labels.index(label)]
+
+    def __getitem__(self, rows) -> "ShotTable":
+        """The shots a boolean mask (or any row index) picks."""
+        return ShotTable(self.labels, self.outcomes[rows], self.leaked[rows])
 
 
 @dataclass(frozen=True)
@@ -228,26 +243,20 @@ def simulate_exact(circuit: Circuit, noise: NoiseModel | None = None) -> SimResu
 
 
 def sample_shots(circuit: Circuit, noise: NoiseModel | None = None,
-                 n_shots: int = 1000, seed: int = 0) -> list:
-    """Draw n_shots from the exact distribution; one ShotRecord per shot."""
+                 n_shots: int = 1000, seed: int = 0) -> ShotTable:
+    """Draw n_shots from the exact distribution, as one ShotTable."""
     if n_shots < 1:
         raise ValueError("need at least one shot")
     dist = _evolve(circuit, noise or NoiseModel.none())
     probs = np.clip(dist.probs, 0.0, None)
     cells = np.random.default_rng(seed).choice(
         len(probs), size=n_shots, p=probs / probs.sum())
-    table = [dict(zip(dist.labels, row)) for row in dist.outcomes.tolist()]
-    return [ShotRecord(outcomes=dict(table[k]), leaked=bool(dist.leaked[k]),
-                       seed=seed + i)
-            for i, k in enumerate(cells.tolist())]
+    return ShotTable(labels=tuple(dist.labels), outcomes=dist.outcomes[cells],
+                     leaked=dist.leaked[cells])
 
 
-def shots_to_csv(records: list, path) -> None:
-    """One row per shot: every label column, leak flag, per-shot seed."""
-    labels = sorted({lab for r in records for lab in r.outcomes})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels + ["leaked", "seed"])
-        for r in records:
-            writer.writerow([r.outcomes.get(lab, "") for lab in labels]
-                            + [int(r.leaked), r.seed])
+def shots_to_csv(shots: ShotTable, path) -> None:
+    """One row per shot: every label column, then the leak flag (0 / 1)."""
+    np.savetxt(path, np.column_stack([shots.outcomes, shots.leaked]),
+               fmt="%d", delimiter=",", comments="",
+               header=",".join(shots.labels + ("leaked",)))

@@ -157,7 +157,7 @@ def prepare_point(params: AnsatzParams, burn_in_tol: float):
     try:
         spec = mps.transfer_spectrum(channel)
         boundary, _ = mps.select_boundary(spec)
-        j = min(mps.burn_in_length(channel, burn_in_tol), MAX_BURN_IN)
+        j = min(mps.burn_in_length(spec, burn_in_tol), MAX_BURN_IN)
     except DegenerateChannelError:
         spec = None
         boundary = mps.symmetric_boundary(tensor.chi)
@@ -367,20 +367,20 @@ def run_validation(config: SweepConfig | None = None) -> dict:
 # output
 
 
-def write_table(rows: list, path: str, fmt: str = "csv") -> None:
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=1, sort_keys=True)
-        return
-    if fmt != "csv":
+def write_table(rows: list, path, fmt: str = "csv") -> None:
+    """Write rows as CSV (columns in first-seen order) or as JSON, to a file
+    path or to an open text stream."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    cols: list = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "w", newline="") as fh:
+            write_table(rows, fh, fmt)
+        return
+    if fmt == "json":
+        json.dump(rows, path, indent=1, sort_keys=True)
+        path.write("\n")
+        return
+    cols = list(dict.fromkeys(key for row in rows for key in row))
+    writer = csv.DictWriter(path, fieldnames=cols)
+    writer.writeheader()
+    writer.writerows(rows)

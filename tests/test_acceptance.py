@@ -241,7 +241,7 @@ def test_criterion_08_leakage_retention():
                     eps_reset=0.0)
     n = 10000
     shots = sample_shots(c, nm, n, seed=31)
-    kept = sum(1 for r in shots if r.outcomes["leak"] == 1) / n
+    kept = (shots.column("leak") == 1).mean()
     expected = (1 - p_leak) ** (2 * c.count_uzz())
     sigma = np.sqrt(expected * (1 - expected) / n)
     ok = abs(kept - expected) < 4 * sigma
@@ -249,9 +249,9 @@ def test_criterion_08_leakage_retention():
                      eps_reset=0.0)
     a = sample_shots(c, nm0, 500, seed=5)
     b = sample_shots(c, nm0, 500, seed=5)
-    noop = ([r.outcomes for r in a] == [r.outcomes for r in b]
-            and not any(r.leaked for r in a)
-            and all(r.outcomes["leak"] == 1 for r in a))
+    noop = (np.array_equal(a.outcomes, b.outcomes)
+            and not a.leaked.any()
+            and (a.column("leak") == 1).all())
     _report(8, "leakage retention matches (1-p)^(2 gates) and p_leak=0 is "
                "a no-op", ok and noop,
             f"kept={kept:.4f}, expected={expected:.4f}, sigma={sigma:.4f}")
@@ -294,5 +294,7 @@ def test_criterion_10_determinism():
     nm = NoiseModel()
     a = sample_shots(c, nm, 400, seed=13)
     b = sample_shots(c, nm, 400, seed=13)
-    same_shots = [r.outcomes for r in a] == [r.outcomes for r in b]
+    same_shots = (a.labels == b.labels
+                  and np.array_equal(a.outcomes, b.outcomes)
+                  and np.array_equal(a.leaked, b.leaked))
     _report(10, "bit-identical reruns for fixed seeds", same_rows and same_shots)

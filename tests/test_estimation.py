@@ -5,12 +5,13 @@ from bondsim import mps
 from bondsim.ansatz import build_full_unitary, extract_isometry
 from bondsim.circuits import build_state_prep_circuit, tomography_settings
 from bondsim.estimation import (RESTRICTED_PATTERN, EnergyEstimate, Tomogram,
-                                energy_from_records, entropy_with_ci,
-                                expectations_from_tomogram, project_psd,
-                                reconstruct_1q, reconstruct_2q,
+                                energy_from_records, entropy_from_expectations,
+                                entropy_with_ci, expectations_from_tomogram,
+                                project_psd, project_simplex,
                                 rho_from_expectations, tomogram_from_shots)
 from bondsim.mps import BondsimError
-from bondsim.simulator import sample_shots, simulate_exact
+from bondsim.noise import ZNEPair, zne_extrapolate
+from bondsim.simulator import ShotTable, sample_shots, simulate_exact
 
 COEFFS = 0.35 * np.cos(np.arange(1, 16) * 1.7)
 SITE_U = build_full_unitary(COEFFS, 1)
@@ -18,13 +19,14 @@ TENSOR = extract_isometry(SITE_U, 1)
 J = 24
 
 
-def sampled_tomogram(shots=4000, seed=0):
+def sampled_tomogram(shots=4000, seed=0, site_u=SITE_U, n_b=1,
+                     restricted=False):
     recs = {}
-    for k, setting in enumerate(tomography_settings(1)):
-        c = build_state_prep_circuit(SITE_U, None, J, purpose="tomography",
+    for k, setting in enumerate(tomography_settings(n_b, restricted)):
+        c = build_state_prep_circuit(site_u, None, J, purpose="tomography",
                                      setting=setting)
         recs[setting] = sample_shots(c, None, shots, seed=seed + k)
-    return tomogram_from_shots(recs, 1)
+    return tomogram_from_shots(recs, n_b)
 
 
 def exact_bond_state():
@@ -33,11 +35,15 @@ def exact_bond_state():
     return simulate_exact(c).bond_rho
 
 
+def shot_table(labels, rows):
+    outcomes = np.array(rows, dtype=np.int8)
+    return ShotTable(labels=labels, outcomes=outcomes,
+                     leaked=np.zeros(len(outcomes), dtype=bool))
+
+
 def test_energy_from_records_shape():
-    class Rec:
-        def __init__(self, x, z1, z2):
-            self.outcomes = {"m3:X": x, "m4:Z": z1, "m5:Z": z2}
-    shots = [Rec(1, 1, 1), Rec(-1, 1, -1), Rec(1, -1, -1), Rec(1, 1, 1)]
+    shots = shot_table(("m3:X", "m4:Z", "m5:Z"),
+                       [(1, 1, 1), (-1, 1, -1), (1, -1, -1), (1, 1, 1)])
     est = energy_from_records(shots, lam=2.0)
     per_shot = [-(1 + 2), -(-1 - 2), -(1 + 2), -(1 + 2)]
     assert np.isclose(est.e, np.mean(per_shot))
@@ -47,10 +53,9 @@ def test_energy_from_records_shape():
 
 
 def test_energy_labels_must_be_unambiguous():
-    class Rec:
-        outcomes = {"m1:X": 1, "m2:X": 1, "m3:Z": 1, "m4:Z": 1}
+    shots = shot_table(("m1:X", "m2:X", "m3:Z", "m4:Z"), [(1, 1, 1, 1)])
     with pytest.raises(BondsimError):
-        energy_from_records([Rec()], 1.0)
+        energy_from_records(shots, 1.0)
 
 
 def test_tomogram_expectations_match_exact():
@@ -65,7 +70,7 @@ def test_tomogram_expectations_match_exact():
 
 def test_reconstruct_1q_recovers_state():
     tomo = sampled_tomogram(shots=50000, seed=3)
-    est = reconstruct_1q(tomo)
+    est = project_psd(rho_from_expectations(expectations_from_tomogram(tomo)))
     rho = exact_bond_state()
     assert np.linalg.norm(est.rho - rho) < 0.02
     assert np.all(np.linalg.eigvalsh(est.rho) > -1e-12)
@@ -98,6 +103,28 @@ def test_project_psd_preserves_eigenbasis():
     assert np.linalg.norm(est.rho @ h - h @ est.rho) < 1e-12
 
 
+def test_project_simplex_stack_matches_project_psd():
+    """Row by row, the stacked projection is the spectrum project_psd
+    keeps, on Hermitian stacks with negative eigenvalues and trace != 1."""
+    rng = np.random.default_rng(12)
+    for dim in (2, 4):
+        a = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
+        spectra = rng.normal(0.3, 0.5, size=(50, dim))
+        spectra[:, 0] = -0.05 - np.abs(spectra[:, 0])
+        basis = np.linalg.qr(a)[0]
+        h = (basis * spectra[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+        w, u = np.linalg.eigh(h)
+        assert (w.min(axis=1) < 0).all()
+        assert (np.abs(w.sum(axis=1) - 1) > 1e-3).all()
+        p = project_simplex(w)
+        assert p.min() >= 0 and np.allclose(p.sum(axis=1), 1, atol=1e-14)
+        for k in range(len(h)):
+            ref = project_psd(h[k]).rho
+            assert np.linalg.norm((u[k] * p[k]) @ u[k].conj().T - ref) < 1e-12
+            assert np.allclose(np.sort(p[k]), np.linalg.eigvalsh(ref),
+                               atol=1e-12)
+
+
 def test_rho_from_expectations_roundtrip():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -126,6 +153,37 @@ def test_entropy_with_ci_covers_truth():
     assert abs(s - s_true) < 5 * sig + 0.01
 
 
+def pure_tomogram(n_b, seed, shots=500):
+    """|+...+>: the all-X setting always reads 0, the others are uniform."""
+    rng = np.random.default_rng(seed)
+    uniform = [1 / 2 ** n_b] * 2 ** n_b
+    settings = {s: rng.multinomial(shots, uniform)
+                for s in tomography_settings(n_b, restricted=n_b == 2)}
+    settings[("X",) * n_b] = np.eye(2 ** n_b, dtype=int)[0] * shots
+    return Tomogram(settings=settings, shots_per_setting=shots)
+
+
+@pytest.mark.parametrize("n_b,restricted,pure", [
+    (1, False, False), (2, True, False), (1, False, True), (2, True, True)])
+def test_point_estimate_matches_single_matrix_reference(n_b, restricted,
+                                                        pure):
+    """The batched pipeline's point estimate is the single-matrix entropy of
+    the zero-noise-extrapolated expectations; the pure states put the
+    extrapolated spectrum outside the simplex, so the projection acts."""
+    site_u = SITE_U if n_b == 1 else build_full_unitary(
+        0.3 * np.sin(np.arange(1, 64) * 0.9), 2)
+    tomo, folded = (pure_tomogram(n_b, seed) if pure else
+                    sampled_tomogram(500, seed, site_u, n_b, restricted)
+                    for seed in (21, 31))
+    s, _ = entropy_with_ci(tomo, mitigation=folded, bootstrap_b=100,
+                           restricted=restricted)
+    exps = zne_extrapolate(ZNEPair(
+        base_estimates=expectations_from_tomogram(tomo, restricted),
+        folded_estimates=expectations_from_tomogram(folded, restricted)))
+    assert project_psd(rho_from_expectations(exps)).psd_projected == pure
+    assert abs(s - entropy_from_expectations(exps, restricted)) < 1e-12
+
+
 def test_entropy_with_ci_input_guards():
     tomo = sampled_tomogram(shots=40, seed=6)
     with pytest.raises(BondsimError):
@@ -151,20 +209,26 @@ def test_shot_floor_checks_every_setting():
 
 def test_tomogram_resample_statistics():
     tomo = sampled_tomogram(shots=2000, seed=7)
-    rng = np.random.default_rng(0)
-    r = tomo.resample(rng)
-    assert r.shots_per_setting == tomo.shots_per_setting
-    for setting, counts in r.settings.items():
-        assert sum(counts.values()) == tomo.shots_per_setting
-        assert set(counts) <= set(tomo.settings[setting]) | {"0", "1"}
+    sparse = Tomogram(settings={("X", "Z"): np.array([5, 0, 3, 0]),
+                                ("Z", "Z"): np.array([0, 0, 0, 8])},
+                      shots_per_setting=8)
+    for t in (tomo, sparse):
+        r = t.resample(np.random.default_rng(0), 30)
+        assert r.shots_per_setting == t.shots_per_setting
+        for setting, counts in r.settings.items():
+            observed = t.settings[setting]
+            assert counts.shape == (30, len(observed))
+            # every draw keeps the total and stays on the observed support
+            assert (counts.sum(axis=1) == observed.sum()).all()
+            assert (counts[:, observed == 0] == 0).all()
     # resampling moves the expectation by roughly the binomial scale
-    diffs = [abs(tomo.resample(np.random.default_rng(k)).expectation("Z")
-                 - tomo.expectation("Z")) for k in range(30)]
+    diffs = np.abs(tomo.resample(np.random.default_rng(0), 30)
+                   .expectation("Z") - tomo.expectation("Z"))
     assert 0 < np.mean(diffs) < 5 / np.sqrt(2000)
 
 
 def test_expectations_from_tomogram_restricted_zeros():
-    settings = {s: {"00": 10, "11": 10} for s in
+    settings = {s: np.array([10, 0, 0, 10]) for s in
                 [("X", "X"), ("Y", "Z"), ("Z", "Y")]}
     tomo = Tomogram(settings=settings, shots_per_setting=20, metadata={})
     exps = expectations_from_tomogram(tomo, restricted=True)

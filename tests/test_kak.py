@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from bondsim.ansatz import gxy_gate, gzy_gate
+from bondsim.ansatz import gxy_gate
 from bondsim.gates import (CZ, H, I2, UZZ, X, Z, embed,
                            global_phase_distance, kron_all, rx, ry, rz)
 from bondsim.kak import (NativeCircuitFragment, compile_one_qubit,
@@ -104,7 +104,9 @@ def test_layout_tiles_compile_cleanly():
     rng = np.random.default_rng(4)
     for _ in range(10):
         a, b = rng.uniform(-np.pi, np.pi, 2)
-        for gate in (gxy_gate(a, b), gzy_gate(a, b)):
+        # the gxy tile, and the same tile in an Ry(pi/2) frame on wire 0
+        f = np.kron(ry(np.pi / 2), np.eye(2))
+        for gate in (gxy_gate(a, b), f.conj().T @ gxy_gate(a, b) @ f):
             frag = compile_two_qubit(gate, (0, 1), 2)
             assert fragment_error(frag, gate) < 1e-10
             assert frag.uzz_count <= 3

@@ -79,7 +79,7 @@ def test_product_state_channel_degenerate_free():
     spec = mps.transfer_spectrum(ch)
     assert spec.degenerate
     with pytest.raises(DegenerateChannelError):
-        mps.burn_in_length(ch, 1e-6)
+        mps.burn_in_length(spec, 1e-6)
     with pytest.raises(DegenerateChannelError):
         mps.select_boundary(spec)
 
@@ -99,7 +99,7 @@ def test_burn_in_length_controls_distance():
     ch = mps.bond_channel(t)
     spec = mps.transfer_spectrum(ch)
     tol = 1e-6
-    j = mps.burn_in_length(ch, tol)
+    j = mps.burn_in_length(spec, tol)
     boundary, _ = mps.select_boundary(spec)
     rho = boundary.density()
     for _ in range(j):
@@ -110,7 +110,7 @@ def test_burn_in_length_controls_distance():
     assert abs(spec.eigenvalues[1]) ** (j - 1) > tol
     for bad in (0.0, 1.0, 2.0, -1e-4, float("nan")):
         with pytest.raises(ValueError):
-            mps.burn_in_length(ch, bad)
+            mps.burn_in_length(spec, bad)
 
 
 @pytest.mark.parametrize("chi,seed", [(2, 1), (2, 5), (2, 17), (4, 23),
@@ -154,7 +154,7 @@ def test_periodic_channel_is_degenerate(chi):
     # the reachable fixed point is the running mean of the iterates
     assert np.allclose(spec.fixed_point, np.eye(chi) / chi, atol=1e-12)
     with pytest.raises(DegenerateChannelError):
-        mps.burn_in_length(ch, 1e-4)
+        mps.burn_in_length(spec, 1e-4)
     with pytest.raises(DegenerateChannelError):
         mps.select_boundary(spec)
 

@@ -7,6 +7,7 @@ from bondsim.circuits import build_state_prep_circuit, compile_circuit
 from bondsim.gates import embed, kron_all, rz
 from bondsim.noise import (NoiseModel, ZNEPair, depolarize, fold_circuit,
                            leakage_postselect, zne_extrapolate)
+from bondsim.simulator import ShotTable
 
 
 def random_density(n_wires, seed):
@@ -122,11 +123,15 @@ def test_zne_exact_for_linear_noise():
 
 
 def test_leakage_postselect():
-    class Rec:
-        def __init__(self, leak):
-            self.outcomes = {"leak": leak}
-    shots = [Rec(1), Rec(1), Rec(-1), Rec(1)]
+    shots = ShotTable(labels=("m1:Z", "leak"),
+                      outcomes=np.array([[1, 1], [-1, 1], [1, -1], [1, 1]],
+                                        dtype=np.int8),
+                      leaked=np.array([False, False, True, False]))
     kept, retention = leakage_postselect(shots)
     assert len(kept) == 3
     assert np.isclose(retention, 0.75)
-    assert all(r.outcomes["leak"] == 1 for r in kept)
+    assert (kept.column("leak") == 1).all()
+    assert kept.column("m1:Z").tolist() == [1, -1, 1]
+    assert not kept.leaked.any()
+    with pytest.raises(KeyError):
+        leakage_postselect(shots, "missing")

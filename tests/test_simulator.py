@@ -88,9 +88,11 @@ def test_sampling_deterministic():
                     eps_reset=0.001)
     a = sample_shots(c, nm, 200, seed=42)
     b = sample_shots(c, nm, 200, seed=42)
-    assert [r.outcomes for r in a] == [r.outcomes for r in b]
+    assert a.labels == b.labels
+    assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.array_equal(a.leaked, b.leaked)
     c2 = sample_shots(c, nm, 200, seed=43)
-    assert [r.outcomes for r in a] != [r.outcomes for r in c2]
+    assert not np.array_equal(a.outcomes, c2.outcomes)
 
 
 def test_zero_leak_rate_is_noop():
@@ -101,9 +103,9 @@ def test_zero_leak_rate_is_noop():
                       eps_reset=0.0)
     a = sample_shots(c, base, 300, seed=7)
     b = sample_shots(c, base, 300, seed=7)
-    assert [r.outcomes for r in a] == [r.outcomes for r in b]
-    assert not any(r.leaked for r in a)
-    assert all(r.outcomes["leak"] == 1 for r in a)
+    assert np.array_equal(a.outcomes, b.outcomes)
+    assert not a.leaked.any()
+    assert (a.column("leak") == 1).all()
 
 
 def test_zero_leak_rate_matches_vanishing_leak_rate():
@@ -129,8 +131,8 @@ def test_zero_leak_rate_matches_vanishing_leak_rate():
     for key, val in ex0.pair_products.items():
         assert abs(val - ex1.pair_products[key]) < 1e-12
     assert np.abs(ex0.bond_rho - ex1.bond_rho).max() < 1e-12
-    assert [r.outcomes for r in shots0] == [r.outcomes for r in shots1]
-    assert not any(r.leaked for r in shots0 + shots1)
+    assert np.array_equal(shots0.outcomes, shots1.outcomes)
+    assert not shots0.leaked.any() and not shots1.leaked.any()
 
 
 def test_leakage_retention_scaling():
@@ -143,7 +145,7 @@ def test_leakage_retention_scaling():
                     eps_reset=0.0)
     n = 20000
     shots = sample_shots(c, nm, n, seed=3)
-    kept = sum(1 for r in shots if r.outcomes["leak"] == 1)
+    kept = (shots.column("leak") == 1).sum()
     expected = (1 - p_leak) ** (2 * n_uzz)
     sigma = np.sqrt(expected * (1 - expected) / n)
     assert abs(kept / n - expected) < 4 * sigma
@@ -185,7 +187,11 @@ def test_shot_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 51
     header = lines[0].split(",")
-    assert "m3:X" in header and "m4:Z" in header
+    assert header == list(shots.labels) + ["leaked"]
+    assert "m3:X" in header and "m4:Z" in header and "seed" not in header
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int)
+    assert np.array_equal(rows[:, :-1], shots.outcomes)
+    assert np.array_equal(rows[:, -1], shots.leaked)
 
 
 def test_sampled_tomography_matches_exact_distribution():
@@ -193,7 +199,7 @@ def test_sampled_tomography_matches_exact_distribution():
                                  setting=("X",))
     exact = simulate_exact(c)
     shots = sample_shots(c, None, 40000, seed=5)
-    mean = np.mean([r.outcomes["b1:X"] for r in shots])
+    mean = shots.column("b1:X").mean()
     assert abs(mean - exact.marginals["b1:X"]) < 4.5 / np.sqrt(40000)
 
 
@@ -253,8 +259,8 @@ def test_reset_clears_flag_but_not_leak_record():
     assert np.isclose(res.marginals["m"], -1.0, atol=1e-12)
     assert np.isclose(res.marginals["leak"], 2 * (1 - Q) ** 2 - 1, atol=1e-12)
     shots = sample_shots(c, LEAK_ONLY, 2000, seed=4)
-    assert all(r.outcomes["m"] == -1 for r in shots)
-    assert all(r.leaked == (r.outcomes["leak"] == -1) for r in shots)
+    assert (shots.column("m") == -1).all()
+    assert np.array_equal(shots.leaked, shots.column("leak") == -1)
 
 
 def test_partial_leak_check_rejected():
