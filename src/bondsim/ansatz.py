@@ -19,20 +19,23 @@ Two parameterizations are provided:
   su(2^(1+n_b)).  Nothing is imposed, so the optimizer is free to pick
   symmetry-broken solutions (it does, for lambda below the finite-chi
   pseudo-transition).
+
+The tiled layout is spelled once, in ansatz_gate_sequence, and
+build_ansatz_unitary is its product.  tensor_energy, the optimizer's
+objective, is the package's one TFIM energy density: mps.ising_terms at
+mps.steady_state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .gates import CZ, H, I2, PAULI, X, Z, embed, kron_all, rx, ry, rz
-from .mps import (BondChannel, BondsimError, BoundaryState, MPSTensor,
-                  project_fixed_point)
+from .gates import CZ, H, I2, X, Z, embed, kron_all, pauli_strings, rx, ry, rz
+from .mps import BondsimError, BoundaryState, MPSTensor, ising_terms, steady_state
 
 __all__ = [
     "AnsatzParams",
@@ -47,7 +50,6 @@ __all__ = [
     "extract_isometry",
     "flip_covariance_error",
     "gxy_gate",
-    "steady_state",
     "tensor_energy",
     "variational_optimize",
 ]
@@ -81,90 +83,51 @@ def _flip_even_tile(alpha: float, beta: float) -> np.ndarray:
 
 
 def ansatz_num_params(n_b: int) -> int:
-    if n_b == 1:
-        return 10
-    if n_b == 2:
-        return 17
-    raise ValueError(f"no tiled layout defined for n_b={n_b}")
-
-
-def build_ansatz_unitary(angles: np.ndarray, n_b: int) -> np.ndarray:
-    """Assemble the flip-covariant tiled layout on 1 + n_b wires.
-
-    Layer structure: one entry tile on (system, bond_1), then alternating
-    framed GXY tiles separated by Rx dressings on every wire.  All Rx
-    dressings and framed tiles commute with the global flip, so covariance
-    of the entry tile is inherited by the whole layout.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (ansatz_num_params(n_b),):
-        raise ValueError("angle vector has wrong length for this layout")
-    n_wires = 1 + n_b
-    if n_b == 1:
-        u = _entry_tile(angles[0], angles[1])
-        i = 2
-        for _ in range(2):
-            u = np.kron(rx(angles[i]), rx(angles[i + 1])) @ u
-            u = _flip_even_tile(angles[i + 2], angles[i + 3]) @ u
-            i += 4
-        return u
-    # n_b == 2: tiles alternate between (system, bond_1) and (bond_1, bond_2)
-    u = embed(_entry_tile(angles[0], angles[1]), (0, 1), n_wires)
-    i = 2
-    for layer in range(1, 4):
-        dress = np.eye(2 ** n_wires, dtype=complex)
-        for w in range(n_wires):
-            dress = embed(rx(angles[i]), (w,), n_wires) @ dress
-            i += 1
-        u = dress @ u
-        wires = (1, 2) if layer % 2 else (0, 1)
-        u = embed(_flip_even_tile(angles[i], angles[i + 1]), wires, n_wires) @ u
-        i += 2
-    return u
+    """Entry tile, then n_b + 1 layers of 1 + n_b Rx angles and a tile."""
+    if n_b not in (1, 2):
+        raise ValueError(f"no tiled layout defined for n_b={n_b}")
+    return 2 + (n_b + 1) * (n_b + 3)
 
 
 def ansatz_gate_sequence(angles: np.ndarray, n_b: int) -> list:
-    """The tiled layout as an ordered list of (matrix, wires) gates.
+    """The flip-covariant tiled layout on 1 + n_b wires as an ordered list
+    of (matrix, wires) gates, first entry applied first.
 
-    The product of the returned gates (first entry applied first) equals
-    build_ansatz_unitary.  For n_b=1 the whole layout is a single two-qubit
-    gate; for n_b=2 each tile and dressing rotation is kept separate so the
-    circuit layer compiles native fragments tile by tile instead of
-    synthesizing a three-qubit unitary.
+    Layer structure: one entry tile on (system, bond_1), then n_b + 1 layers
+    of Rx dressings on every wire followed by a framed GXY tile.  For n_b=2
+    the tiles alternate between (bond_1, bond_2) and (system, bond_1).  All
+    Rx dressings and framed tiles commute with the global flip, so
+    covariance of the entry tile is inherited by the whole layout.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (ansatz_num_params(n_b),):
         raise ValueError("angle vector has wrong length for this layout")
-    if n_b == 1:
-        return [(build_ansatz_unitary(angles, 1), (0, 1))]
     seq = [(_entry_tile(angles[0], angles[1]), (0, 1))]
     i = 2
-    for layer in range(1, 4):
-        for w in range(3):
+    for layer in range(1, n_b + 2):
+        for w in range(1 + n_b):
             seq.append((rx(angles[i]), (w,)))
             i += 1
-        wires = (1, 2) if layer % 2 else (0, 1)
+        wires = (1, 2) if n_b == 2 and layer % 2 else (0, 1)
         seq.append((_flip_even_tile(angles[i], angles[i + 1]), wires))
         i += 2
     return seq
 
 
-_PAULI_STRINGS: dict[int, list[np.ndarray]] = {}
-
-
-def _pauli_basis(n_wires: int) -> list[np.ndarray]:
-    if n_wires not in _PAULI_STRINGS:
-        labels = ["I", "X", "Y", "Z"]
-        mats = []
-        for idx in range(4 ** n_wires):
-            digits = []
-            k = idx
-            for _ in range(n_wires):
-                digits.append(labels[k % 4])
-                k //= 4
-            mats.append(kron_all(*[PAULI[d] for d in reversed(digits)]))
-        _PAULI_STRINGS[n_wires] = mats[1:]  # drop identity
-    return _PAULI_STRINGS[n_wires]
+def build_ansatz_unitary(angles: np.ndarray, n_b: int) -> np.ndarray:
+    """Product of ``ansatz_gate_sequence``.  Each layer's Rx dressing is
+    multiplied out before it is applied, the grouping the bundled chi=4
+    parameters were optimized with, so their energies reproduce bit for
+    bit."""
+    n_wires = 1 + n_b
+    u = dress = np.eye(2 ** n_wires, dtype=complex)
+    for gate, wires in ansatz_gate_sequence(angles, n_b):
+        if len(wires) == 1:
+            dress = embed(gate, wires, n_wires) @ dress
+        else:
+            u = embed(gate, wires, n_wires) @ (dress @ u)
+            dress = np.eye(2 ** n_wires, dtype=complex)
+    return u
 
 
 def full_unitary_num_params(n_b: int) -> int:
@@ -174,7 +137,7 @@ def full_unitary_num_params(n_b: int) -> int:
 def build_full_unitary(coeffs: np.ndarray, n_b: int) -> np.ndarray:
     """exp(i sum c_k P_k) over all non-identity Pauli strings."""
     coeffs = np.asarray(coeffs, dtype=float)
-    basis = _pauli_basis(1 + n_b)
+    basis = pauli_strings(1 + n_b)[1:]  # drop the identity
     if coeffs.shape != (len(basis),):
         raise ValueError("coefficient vector has wrong length")
     gen = np.zeros_like(basis[0])
@@ -204,36 +167,14 @@ def extract_isometry(u: np.ndarray, n_b: int) -> MPSTensor:
 
 
 # ---------------------------------------------------------------------------
-# fast steady state and energy
-
-
-def steady_state(tensor: MPSTensor, boundary: np.ndarray | None = None) -> np.ndarray:
-    """Bond-channel fixed point reachable from a boundary density matrix
-    (default I/chi).
-
-    Solves the eigenproblem of the transfer matrix once and projects the
-    boundary onto the eigenvalue-1 eigenspace (``mps.project_fixed_point``);
-    with a degenerate fixed-point space (ordered phase) this picks the state
-    the iterated channel converges to.  Skips ``mps.bond_channel``'s isometry
-    check, which the optimizer's unitaries satisfy by construction.
-    """
-    v = tensor.data
-    chi = v.shape[1]
-    if boundary is None:
-        boundary = np.eye(chi) / chi
-    w, r = np.linalg.eig(BondChannel(kraus=(v[0].T, v[1].T)).transfer)
-    return project_fixed_point(w, r, boundary)
+# energy
 
 
 def tensor_energy(tensor: MPSTensor, lam: float) -> float:
-    """TFIM energy density -(<Z_j Z_{j+1}> + lam <X_j>) in the steady state."""
+    """TFIM energy density -(<Z_j Z_{j+1}> + lam <X_j>) in the steady state
+    (``mps.steady_state``), the package's one energy of a tensor."""
     v = tensor.data
-    k = [v[0].T, v[1].T]
-    rho = steady_state(tensor)
-    # <X> = 2 Re tr(K_0 rho K_1^dag); <ZZ> from two channel steps with Z insertions.
-    ex = 2 * np.trace(k[1] @ rho @ k[0].conj().T).real
-    mid = k[0] @ rho @ k[0].conj().T - k[1] @ rho @ k[1].conj().T
-    ezz = (np.trace(k[0] @ mid @ k[0].conj().T) - np.trace(k[1] @ mid @ k[1].conj().T)).real
+    ex, ezz = ising_terms((v[0].T, v[1].T), steady_state(tensor))
     return -(ezz + lam * ex)
 
 
@@ -314,15 +255,11 @@ def variational_optimize(
         raise ValueError("lambda must be nonnegative")
     cfg = config or OptimizerConfig()
     n = _num_params(n_b, mode)
-    build: Callable[[np.ndarray], np.ndarray]
-    if mode == "ansatz":
-        build = lambda p: build_ansatz_unitary(p, n_b)  # noqa: E731
-    else:
-        build = lambda p: build_full_unitary(p, n_b)  # noqa: E731
+    build = build_ansatz_unitary if mode == "ansatz" else build_full_unitary
 
     def objective(p: np.ndarray) -> float:
         try:
-            return tensor_energy(extract_isometry(build(p), n_b), lam)
+            return tensor_energy(extract_isometry(build(p, n_b), n_b), lam)
         except BondsimError:
             return 10.0
 
@@ -393,11 +330,6 @@ def boundary_prep(target: BoundaryState) -> BoundaryPrep:
 # gauge canonicalization (restricted-tomography form)
 
 
-def _pauli_coeff(rho: np.ndarray, label: str) -> float:
-    op = kron_all(*[PAULI[c] for c in label])
-    return float(np.trace(rho @ op).real)
-
-
 def canonical_gauge(tensor: MPSTensor) -> tuple[MPSTensor, np.ndarray, tuple]:
     """Rotate the bond basis so the fixed point fits the restricted pattern.
 
@@ -420,8 +352,9 @@ def canonical_gauge(tensor: MPSTensor) -> tuple[MPSTensor, np.ndarray, tuple]:
     if chi != 4:
         raise ValueError("canonical gauge implemented for chi in {2, 4}")
     rho = steady_state(tensor)
-    m00, m01 = _pauli_coeff(rho, "YY"), _pauli_coeff(rho, "YZ")
-    m10, m11 = _pauli_coeff(rho, "ZY"), _pauli_coeff(rho, "ZZ")
+    # YY, YZ, ZY, ZZ in the product("IXYZ") order of the Pauli strings
+    m00, m01, m10, m11 = (float(np.trace(rho @ p).real)
+                          for p in pauli_strings(2)[[10, 11, 14, 15]])
     rot = np.arctan2(m10 - m01, m00 + m11)
     ref = np.arctan2(m10 + m01, m00 - m11)
     t1, t2 = np.pi / 2 - (rot + ref) / 2, (rot - ref) / 2

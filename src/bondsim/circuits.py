@@ -12,7 +12,6 @@ register.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,19 +67,6 @@ class CircuitOp:
         if self.kind == "measure" and self.basis not in _BASES:
             raise ValueError(f"bad measurement basis {self.basis!r}")
 
-    def to_json(self) -> dict:
-        rec: dict = {"type": self.kind, "wires": list(self.wires)}
-        if self.basis is not None:
-            rec["basis"] = self.basis
-        if self.label is not None:
-            rec["label"] = self.label
-        if self.fragment is not None:
-            rec["fragment"] = self.fragment.to_json()
-            rec["phase"] = [self.fragment.phase.real, self.fragment.phase.imag]
-        elif self.unitary is not None:
-            rec["matrix"] = [[[c.real, c.imag] for c in row] for row in self.unitary]
-        return rec
-
 
 def gate(unitary: np.ndarray, wires: tuple,
          fragment: NativeCircuitFragment | None = None) -> CircuitOp:
@@ -118,18 +104,12 @@ class Circuit:
         return sum(op.fragment.uzz_count for op in self.ops
                    if op.kind == "gate" and op.fragment is not None)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_wires": self.n_wires,
-            "metadata": self.metadata,
-            "ops": [op.to_json() for op in self.ops],
-        })
-
 
 def _gate_sequence(u) -> list:
     """(matrix, wires) gates for one iteration's site unitary."""
     if isinstance(u, AnsatzParams):
-        if u.mode == "ansatz":
+        # A two-qubit layout compiles best as one gate; a wider one tile by tile.
+        if u.mode == "ansatz" and u.n_b > 1:
             return ansatz_gate_sequence(np.asarray(u.angles), u.n_b)
         u = u.unitary()
     u = np.asarray(u, dtype=complex)

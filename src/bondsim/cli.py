@@ -102,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid(args, default: tuple) -> tuple:
+    if args.steps is not None and args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.lambda_list is not None:
         vals = tuple(float(v) for v in args.lambda_list.split(",") if v)
         if not vals:
@@ -110,7 +112,7 @@ def _grid(args, default: tuple) -> tuple:
     if args.lambda_min is not None or args.lambda_max is not None:
         lo = args.lambda_min if args.lambda_min is not None else 0.0
         hi = args.lambda_max if args.lambda_max is not None else 2.0
-        n = args.steps or 11
+        n = 11 if args.steps is None else args.steps
         return tuple(round(v, 10) for v in np.linspace(lo, hi, n))
     return default
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import PAULI, kron_all
+from .gates import pauli_strings
 from .mps import BondsimError, entanglement_entropy, entropy_bits
 from .noise import ZNEPair, zne_extrapolate
 
@@ -218,14 +218,9 @@ def project_psd(rho: np.ndarray) -> DensityEstimate:
                            raw_min_eigenvalue=raw_min)
 
 
-def _pauli_basis(n_b: int) -> np.ndarray:
-    """Every n_b-qubit Pauli string's matrix, in product("IXYZ") order."""
-    return np.stack([kron_all(*[PAULI[c] for c in p]) for p in _paulis(n_b)])
-
-
 def _rho(coeffs: np.ndarray, n_b: int) -> np.ndarray:
     """Linear inversion rho = 2^{-n} sum_P <P> P over the last axis."""
-    return np.einsum("...p,pij->...ij", coeffs, _pauli_basis(n_b)) / 2 ** n_b
+    return np.einsum("...p,pij->...ij", coeffs, pauli_strings(n_b)) / 2 ** n_b
 
 
 def rho_from_expectations(exps: dict) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -46,6 +49,16 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_strings(n: int) -> np.ndarray:
+    """Every n-qubit Pauli string's matrix, stacked in product("IXYZ") order
+    (wire 0 is the first letter; entry 0 is the identity).  Read-only."""
+    mats = np.stack([kron_all(*[PAULI[c] for c in p])
+                     for p in itertools.product("IXYZ", repeat=n)])
+    mats.flags.writeable = False
+    return mats
 
 
 def embed(gate: np.ndarray, wires: tuple, n_wires: int) -> np.ndarray:

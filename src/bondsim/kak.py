@@ -63,15 +63,6 @@ class NativeCircuitFragment:
             u = embed(native_gate(name, angle), tuple(wires), self.n_wires) @ u
         return u
 
-    def to_json(self) -> list:
-        out = []
-        for name, wires, angle in self.ops:
-            rec = {"op": name, "wires": list(wires)}
-            if angle is not None:
-                rec["angle"] = angle
-            out.append(rec)
-        return out
-
 
 def euler_zyz(u: np.ndarray) -> tuple[complex, float, float, float]:
     """Factor a 2x2 unitary as phase * Rz(a) Ry(b) Rz(c)."""

@@ -1,8 +1,10 @@
 """Uniform-MPS linear algebra: isometries, bond channels, transfer spectra,
-fixed points, expectation values and half-chain entanglement entropy.
+fixed points, the TFIM energy terms and half-chain entanglement entropy.
 
-Everything is closed form: the fixed point is a spectral projection and the
-boundary state is built from the fixed point's eigenvectors, with no search.
+Everything is closed form: the fixed point is a spectral projection, the
+slowest left eigen-operator is a row of the inverse of the transfer matrix's
+eigenvector matrix (one eigendecomposition per spectrum), and the boundary
+state is built from the fixed point's eigenvectors, with no search.
 
 Conventions: the site tensor V has shape (2, chi, chi) indexed [sigma, alpha,
 beta].  The bond state propagates left-to-right as rho' = sum_s K_s rho K_s^dag
@@ -12,7 +14,6 @@ unitary dilation used by the circuit simulator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,21 +55,6 @@ class MPSTensor:
     @property
     def n_b(self) -> int:
         return int(self.chi).bit_length() - 1
-
-    def to_json(self) -> str:
-        payload = {
-            "chi": self.chi,
-            "data": [[[[v.real, v.imag] for v in row] for row in mat] for mat in self.data],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MPSTensor":
-        payload = json.loads(text)
-        arr = np.array(payload["data"], dtype=float)
-        if arr.shape != (2, payload["chi"], payload["chi"], 2):
-            raise ValueError("malformed MPSTensor record")
-        return cls(arr[..., 0] + 1j * arr[..., 1])
 
 
 @dataclass(frozen=True)
@@ -166,6 +152,35 @@ def project_fixed_point(evals: np.ndarray, evecs: np.ndarray,
     return rho / tr
 
 
+def steady_state(tensor: MPSTensor, boundary: np.ndarray | None = None) -> np.ndarray:
+    """Bond-channel fixed point reachable from a boundary density matrix
+    (default I/chi).
+
+    Solves the eigenproblem of the transfer matrix once and projects the
+    boundary onto the eigenvalue-1 eigenspace (``project_fixed_point``);
+    with a degenerate fixed-point space (ordered phase) this picks the state
+    the iterated channel converges to.  Skips ``bond_channel``'s isometry
+    check, which the optimizer's unitaries satisfy by construction.
+    """
+    v = tensor.data
+    chi = v.shape[1]
+    if boundary is None:
+        boundary = np.eye(chi) / chi
+    w, r = np.linalg.eig(BondChannel(kraus=(v[0].T, v[1].T)).transfer)
+    return project_fixed_point(w, r, boundary)
+
+
+def ising_terms(kraus, rho: np.ndarray) -> tuple[float, float]:
+    """(<X>, <Z Z>) on the sites that the Kraus pair generates from bond
+    state rho: <X> on the first, <Z Z> on the first and the second."""
+    k0, k1 = kraus
+    # <X> = 2 Re tr(K_0 rho K_1^dag); <ZZ> from two channel steps with Z insertions.
+    ex = 2 * np.trace(k1 @ rho @ k0.conj().T).real
+    mid = k0 @ rho @ k0.conj().T - k1 @ rho @ k1.conj().T
+    ezz = (np.trace(k0 @ mid @ k0.conj().T) - np.trace(k1 @ mid @ k1.conj().T)).real
+    return ex, ezz
+
+
 def transfer_spectrum(channel: BondChannel, boundary: BoundaryState | None = None,
                       degeneracy_tol: float = 1e-8) -> ChannelSpectrum:
     """Eigenvalues, fixed point and slowest left eigen-operator of a channel.
@@ -185,11 +200,10 @@ def transfer_spectrum(channel: BondChannel, boundary: BoundaryState | None = Non
 
     # Left eigen-operator at the subdominant eigenvalue: the Hilbert-Schmidt
     # overlap Tr(E2^dag rho_0) is the coefficient of the slowest transient.
+    # Row 1 of evecs^-1 is the left eigenvector, so E2 is its conjugate.
     sub = np.zeros((chi, chi), dtype=complex)
     if chi > 1:
-        lvals, lvecs = np.linalg.eig(channel.transfer.conj().T)
-        lidx = int(np.argmin(np.abs(lvals - np.conj(evals[1]))))
-        sub = lvecs[:, lidx].reshape(chi, chi)
+        sub = np.linalg.inv(evecs)[1].conj().reshape(chi, chi)
         sub = sub / np.linalg.norm(sub)
 
     return ChannelSpectrum(eigenvalues=evals, fixed_point=fixed,
@@ -230,67 +244,11 @@ def half_chain_entropy(tensor: MPSTensor, boundary: BoundaryState, j: int) -> En
     return entanglement_entropy(rho, tol=1e-6)
 
 
-def _site_expectation(channel: BondChannel, rho: np.ndarray, op: np.ndarray) -> float:
-    """<O> at the site generated from bond state rho by one iteration."""
-    k = channel.kraus
-    val = 0.0 + 0.0j
-    for s in (0, 1):
-        for t in (0, 1):
-            if op[s, t] != 0:
-                val += op[s, t] * np.trace(k[t] @ rho @ k[s].conj().T)
-    return float(val.real)
-
-
 def _iterate(channel: BondChannel, boundary: BoundaryState, n: int) -> np.ndarray:
     rho = boundary.density()
     for _ in range(n):
         rho = apply_channel(channel, rho)
     return rho
-
-
-def expectation_local(tensor: MPSTensor, boundary: BoundaryState, j: int,
-                      op: np.ndarray) -> float:
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    channel = bond_channel(tensor)
-    rho = _iterate(channel, boundary, j - 1)
-    return _site_expectation(channel, rho, np.asarray(op, dtype=complex))
-
-
-def expectation_nn(tensor: MPSTensor, boundary: BoundaryState, j: int,
-                   op_a: np.ndarray, op_b: np.ndarray) -> float:
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    channel = bond_channel(tensor)
-    rho = _iterate(channel, boundary, j - 1)
-    op_a = np.asarray(op_a, dtype=complex)
-    op_b = np.asarray(op_b, dtype=complex)
-    k = channel.kraus
-    # Generalized one-site update weighted by op_a, then close with op_b.
-    mid = np.zeros_like(rho)
-    for s in (0, 1):
-        for t in (0, 1):
-            if op_a[s, t] != 0:
-                mid += op_a[s, t] * (k[t] @ rho @ k[s].conj().T)
-    val = 0.0 + 0.0j
-    for s in (0, 1):
-        for t in (0, 1):
-            if op_b[s, t] != 0:
-                val += op_b[s, t] * np.trace(k[t] @ mid @ k[s].conj().T)
-    return float(val.real)
-
-
-def fixed_point_energy(tensor: MPSTensor, lam: float) -> float:
-    """Energy density -(<ZZ> + lam <X>) evaluated at the channel fixed point."""
-    channel = bond_channel(tensor)
-    spec = transfer_spectrum(channel)
-    rho = spec.fixed_point
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    ex = _site_expectation(channel, rho, x)
-    k = channel.kraus
-    mid = k[0] @ rho @ k[0].conj().T - k[1] @ rho @ k[1].conj().T  # Z-weighted
-    ezz = (np.trace(k[0] @ mid @ k[0].conj().T) - np.trace(k[1] @ mid @ k[1].conj().T)).real
-    return float(-(ezz + lam * ex))
 
 
 def burn_in_length(spectrum: ChannelSpectrum, tol: float) -> int:
@@ -317,6 +275,11 @@ def select_boundary(spectrum: ChannelSpectrum) -> tuple[BoundaryState, float]:
     order of decreasing p_k, each step keeps <v|E2^dag|v> at the running
     weighted mean, which ends at 0 (the two-vector step of Carden, Inverse
     Problems 25, 115019 (2009)).
+
+    The result does not depend on the phase of E2 or on rounding noise in
+    it: a step whose two values of <.|E2^dag|.> agree is skipped, and where
+    every phi makes the cross term real, phi is the one that makes it
+    largest.
     """
     if spectrum.degenerate:
         raise DegenerateChannelError("subdominant mode is not unique")
@@ -330,10 +293,14 @@ def select_boundary(spectrum: ChannelSpectrum) -> tuple[BoundaryState, float]:
         weight += pk
         s = pk / weight
         av, ay = v.conj() @ a @ v, y.conj() @ a @ y
+        if abs(ay - av) <= 1e-12:
+            continue
         rot = np.conj(ay - av)
         n = abs(rot) ** 2
         beta, gamma = rot * (v.conj() @ a @ y), rot * (y.conj() @ a @ v)
-        phase = np.exp(-1j * np.angle(beta - np.conj(gamma)))
+        odd, even = beta - np.conj(gamma), beta + np.conj(gamma)
+        phase = np.exp(-1j * np.angle(odd if abs(odd) > 1e-6 * abs(even)
+                                      else even))
         c = (phase * beta + np.conj(phase) * gamma).real
         # the root of smaller modulus, in the form that does not cancel
         den = c + np.copysign(np.sqrt(c * c + 4 * s * (1 - s) * n * n), c)

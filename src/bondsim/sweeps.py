@@ -12,14 +12,14 @@ import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import mps, tfim
-from .ansatz import (AnsatzParams, OptimizerConfig, boundary_prep,
-                     canonical_gauge, variational_optimize)
+from .ansatz import (AnsatzParams, boundary_prep, canonical_gauge,
+                     variational_optimize)
 from .circuits import (build_state_prep_circuit, compile_circuit,
                        tomography_settings)
 from .estimation import (energy_from_records, entropy_with_ci,
@@ -89,7 +89,10 @@ def _key(lam: float, n_b: int, mode: str) -> str:
     return f"{lam:.6g}|{n_b}|{mode}"
 
 
+@functools.lru_cache(maxsize=None)
 def _bundled_table() -> dict:
+    """The packaged table, parsed once per process (callers only read it).
+    The cache file, which other processes may rewrite, is read per call."""
     try:
         text = resources.files("bondsim").joinpath("data/params.json") \
             .read_text()
@@ -317,9 +320,7 @@ def run_validation(config: SweepConfig | None = None) -> dict:
     params = get_params(lam, cfg.n_b, cfg.mode, cfg.cache_path)
     tensor, channel, spec, boundary, prep, j = prepare_point(params, 1e-10)
 
-    gram = tensor.data[0] @ tensor.data[0].conj().T \
-        + tensor.data[1] @ tensor.data[1].conj().T
-    _check(report, "isometry", np.linalg.norm(gram - np.eye(tensor.chi)) < 1e-9)
+    _check(report, "isometry", mps.is_isometry(tensor, 1e-9))
 
     circuit = build_state_prep_circuit(params, prep, j, purpose="tomography",
                                        setting=("Z",) * cfg.n_b)

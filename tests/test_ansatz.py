@@ -8,10 +8,10 @@ from bondsim.ansatz import (AnsatzParams, OptimizerConfig, ansatz_gate_sequence,
                             build_ansatz_unitary, build_full_unitary,
                             canonical_gauge, extract_isometry,
                             flip_covariance_error, full_unitary_num_params,
-                            gxy_gate, steady_state, tensor_energy,
-                            variational_optimize)
-from bondsim.gates import (X, Y, embed, global_phase_distance, kron_all,
+                            gxy_gate, tensor_energy, variational_optimize)
+from bondsim.gates import (X, Y, Z, embed, global_phase_distance, kron_all,
                            unitarity_error)
+from bondsim.mps import steady_state
 
 ANGLES = st.floats(-np.pi, np.pi, allow_nan=False)
 
@@ -85,13 +85,25 @@ def test_steady_state_matches_transfer_spectrum():
     assert np.linalg.norm(rho - spec.fixed_point) < 1e-9
 
 
-def test_tensor_energy_matches_fixed_point_energy():
+def test_tensor_energy_matches_iterated_channel():
+    """The energy density is the long-chain limit of the brute-force site
+    sums sum_{s,t} O[s,t] K_t rho K_s^dag along the iterated channel."""
     rng = np.random.default_rng(23)
     u = build_full_unitary(rng.normal(size=15) * 0.4, 1)
     t = extract_isometry(u, 1)
+    ch = mps.bond_channel(t)
+    rho = mps._iterate(ch, mps.BoundaryState(np.array([1.0, 0.0])), 400)
+    k = ch.kraus
+
+    def site(op, r):
+        return sum(op[s, q] * (k[q] @ r @ k[s].conj().T)
+                   for s in (0, 1) for q in (0, 1))
+
+    ex = np.trace(site(X, rho)).real
+    ezz = np.trace(site(Z, site(Z, rho))).real
     for lam in (0.5, 1.0, 1.7):
-        assert np.isclose(tensor_energy(t, lam),
-                          mps.fixed_point_energy(t, lam), atol=1e-10)
+        assert np.isclose(tensor_energy(t, lam), -(ezz + lam * ex),
+                          atol=1e-10)
 
 
 def test_params_json_roundtrip():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -166,12 +164,3 @@ def test_compile_rejects_monolithic_three_qubit_gate():
     c = build_state_prep_circuit(u8, None, 3)
     with pytest.raises(BondsimError):
         compile_circuit(c)
-
-
-def test_circuit_json_roundtrippable_text():
-    u = random_site_unitary(10)
-    c = compile_circuit(build_state_prep_circuit(u, None, 3))
-    payload = json.loads(c.to_json())
-    assert payload["n_wires"] == 2
-    assert payload["metadata"]["iterations"] == 3
-    assert len(payload["ops"]) == len(c.ops)

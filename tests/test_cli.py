@@ -26,6 +26,9 @@ def test_bad_usage_exit_code():
     for tol in ("0", "1", "2", "nan"):
         assert main(["energy-sweep", "--lambda-list", "1.2",
                      "--burn-in-tol", tol]) == 2
+    for steps in ("0", "-3"):
+        assert main(["oracle", "--lambda-min", "0.5", "--lambda-max", "1.5",
+                     "--steps", steps]) == 2
 
 
 def test_oracle_command(tmp_path):
@@ -37,6 +40,9 @@ def test_oracle_command(tmp_path):
     assert np.isclose(float(rows[1]["e_exact"]), -4 / np.pi, atol=1e-10)
     # entropy column empty at the critical point, filled elsewhere
     assert rows[1]["entropy_exact"] == ""
+    assert main(["oracle", "--lambda-min", "0.5", "--lambda-max", "1.5",
+                 "--steps", "1", "--out", str(out)]) == 0
+    assert [r["lambda"] for r in csv.DictReader(out.open())] == ["0.5"]
 
 
 def test_energy_sweep_command_json(tmp_path):

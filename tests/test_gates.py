@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bondsim.gates import (CZ, H, I2, PAULI, UZZ, X, Y, Z, embed,
-                           global_phase_distance, kron_all, rot, rx, ry, rz,
-                           unitarity_error)
+                           global_phase_distance, kron_all, pauli_strings,
+                           rot, rx, ry, rz, unitarity_error)
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -78,3 +78,11 @@ def test_pauli_table_complete():
     assert set(PAULI) == {"I", "X", "Y", "Z"}
     for m in PAULI.values():
         assert unitarity_error(m) < 1e-15
+    # the stacked strings: product("IXYZ") order, wire 0 first, cached
+    strings = pauli_strings(2)
+    assert strings.shape == (16, 4, 4)
+    for i, a in enumerate("IXYZ"):
+        for j, b in enumerate("IXYZ"):
+            assert np.array_equal(strings[4 * i + j], np.kron(PAULI[a], PAULI[b]))
+    assert pauli_strings(2) is strings and not strings.flags.writeable
+    assert np.array_equal(pauli_strings(1), np.stack([I2, X, Y, Z]))

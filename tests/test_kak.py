@@ -140,11 +140,3 @@ def test_fragment_matrix_only_native_ops():
             assert angle is None and len(wires) == 2
         else:
             assert isinstance(angle, float) and len(wires) == 1
-
-
-def test_fragment_json():
-    frag = compile_two_qubit(UZZ, (0, 1), 2)
-    payload = frag.to_json()
-    assert isinstance(payload, list)
-    assert any(rec["op"] == "uzz" for rec in payload)
-    assert all(set(rec) <= {"op", "wires", "angle"} for rec in payload)

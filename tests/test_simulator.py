@@ -41,15 +41,18 @@ def test_exact_bond_state_is_iterated_channel(exact_tomo):
 def test_exact_marginals_match_channel_expectations():
     c = build_state_prep_circuit(SITE_U, None, J, purpose="energy")
     res = simulate_exact(c)
+    ch = mps.bond_channel(TENSOR)
     b = mps.BoundaryState(np.array([1.0, 0.0]))
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    assert np.isclose(res.marginals[f"m{J-2}:X"],
-                      mps.expectation_local(TENSOR, b, J - 2, x), atol=1e-12)
-    assert np.isclose(res.marginals[f"m{J}:Z"],
-                      mps.expectation_local(TENSOR, b, J, z), atol=1e-12)
-    assert np.isclose(res.pair_products[(f"m{J-1}:Z", f"m{J}:Z")],
-                      mps.expectation_nn(TENSOR, b, J - 1, z, z), atol=1e-12)
+    # site n is generated from the bond state after n - 1 iterations
+    ex, _ = mps.ising_terms(ch.kraus, mps._iterate(ch, b, J - 3))
+    _, ezz = mps.ising_terms(ch.kraus, mps._iterate(ch, b, J - 2))
+    k0, k1 = ch.kraus
+    rho = mps._iterate(ch, b, J - 1)
+    ez = np.trace(k0 @ rho @ k0.conj().T - k1 @ rho @ k1.conj().T).real
+    assert np.isclose(res.marginals[f"m{J-2}:X"], ex, atol=1e-12)
+    assert np.isclose(res.marginals[f"m{J}:Z"], ez, atol=1e-12)
+    assert np.isclose(res.pair_products[(f"m{J-1}:Z", f"m{J}:Z")], ezz,
+                      atol=1e-12)
 
 
 def test_exact_noiseless_retention_is_one(exact_tomo):

@@ -35,6 +35,18 @@ def test_get_params_bundled():
     assert p.energy >= -1.4188424758 - 1e-9
 
 
+def test_bundled_table_is_read_once(monkeypatch):
+    reads = []
+    files = sweeps.resources.files
+    monkeypatch.setattr(sweeps.resources, "files",
+                        lambda pkg: reads.append(pkg) or files(pkg))
+    sweeps._bundled_table.cache_clear()
+    assert get_params(1.2, 1, optimize_if_missing=False) \
+        == get_params(1.2, 1, optimize_if_missing=False)
+    get_params(1.2, 2, optimize_if_missing=False)
+    assert reads == ["bondsim"]
+
+
 def test_get_params_missing_raises():
     with pytest.raises(BondsimError):
         get_params(0.777, 1, optimize_if_missing=False)
