@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .gates import CZ, H, I2, X, Z, embed, kron_all, pauli_strings, rx, ry, rz
+from .gates import CZ, H, I2, embed, pauli_strings, rx, ry, rz
 from .mps import BondsimError, BoundaryState, MPSTensor, ising_terms, steady_state
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "build_full_unitary",
     "canonical_gauge",
     "extract_isometry",
-    "flip_covariance_error",
     "gxy_gate",
     "tensor_energy",
     "variational_optimize",
@@ -146,13 +145,6 @@ def build_full_unitary(coeffs: np.ndarray, n_b: int) -> np.ndarray:
     return expm(1j * gen)
 
 
-def flip_covariance_error(u: np.ndarray, n_b: int) -> float:
-    """Residual of the Ising-flip covariance condition for a layout unitary."""
-    left = kron_all(X, *([X] * n_b))
-    right = kron_all(Z, *([X] * n_b))
-    return float(np.linalg.norm(left @ u @ right.conj().T - u))
-
-
 # ---------------------------------------------------------------------------
 # isometry <-> unitary
 
@@ -226,9 +218,6 @@ class OptimizerConfig:
     restarts: int = 6
     seed: int = 20240901
     maxiter: int = 6000
-    scale: float = 1.2
-    polish: bool = True
-    warm_start: tuple | None = None
 
 
 def _num_params(n_b: int, mode: str) -> int:
@@ -247,8 +236,8 @@ def variational_optimize(
 ) -> tuple[AnsatzParams, float]:
     """Minimize the steady-state TFIM energy density over layout angles.
 
-    Powell restarts from seeded Gaussian initializations (plus an optional
-    warm start), then a Nelder-Mead polish of the best candidate.  Fully
+    Powell restarts from seeded Gaussian initializations (standard deviation
+    1.2), then a Nelder-Mead polish of the best candidate.  Fully
     deterministic for a fixed config.
     """
     if lam < 0:
@@ -264,11 +253,7 @@ def variational_optimize(
             return 10.0
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [rng.normal(scale=cfg.scale, size=n) for _ in range(cfg.restarts)]
-    if cfg.warm_start is not None:
-        ws = np.asarray(cfg.warm_start, dtype=float)
-        if ws.shape == (n,):
-            starts.insert(0, ws)
+    starts = [rng.normal(scale=1.2, size=n) for _ in range(cfg.restarts)]
     best_val, best_x = np.inf, None
     with np.errstate(all="ignore"):
         for x0 in starts:
@@ -278,13 +263,12 @@ def variational_optimize(
             )
             if res.fun < best_val:
                 best_val, best_x = res.fun, res.x
-        if cfg.polish:
-            res = minimize(
-                objective, best_x, method="Nelder-Mead",
-                options={"maxiter": 4 * cfg.maxiter, "xatol": 1e-13, "fatol": 1e-16},
-            )
-            if res.fun < best_val:
-                best_val, best_x = res.fun, res.x
+        res = minimize(
+            objective, best_x, method="Nelder-Mead",
+            options={"maxiter": 4 * cfg.maxiter, "xatol": 1e-13, "fatol": 1e-16},
+        )
+        if res.fun < best_val:
+            best_val, best_x = res.fun, res.x
     params = AnsatzParams(
         lam=lam, n_b=n_b, mode=mode, angles=tuple(best_x), energy=float(best_val)
     )

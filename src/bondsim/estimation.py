@@ -3,13 +3,15 @@
 Shots arrive as columns (``simulator.ShotTable``).  Energy uses the X,Z,Z
 measurement schedule (one transverse-field sample and one nearest-neighbor
 ZZ sample per shot) and reads three columns.  A tomogram holds one count
-vector per measurement setting, indexed by the bond bits.  The bond state is
-reconstructed by linear inversion, optionally restricted to the Pauli
-coefficients allowed by the Ising flip symmetry, and its spectrum is
-projected onto the probability simplex (the nearest trace-one PSD matrix).
-Error bars come from a multinomial bootstrap of the count vectors: every
-resample is drawn at once, and the stack goes through the same array
-pipeline as the point estimate.
+vector per measurement setting, indexed by the bond bits (or, for an exact
+tomogram, one probability vector).  There is one route from a tomogram to a
+state and an entropy: ``pauli_coefficients`` (optionally restricted to the
+coefficients the Ising flip symmetry allows), ``rho_from_coefficients``
+(linear inversion) and ``projected_entropy`` (the spectrum projected onto
+the probability simplex, i.e. the nearest trace-one PSD matrix).  Every
+function works on stacks.  Error bars come from a multinomial bootstrap of
+the count vectors: every resample is drawn at once, and the stack goes
+through the same route as the point estimate.
 """
 
 from __future__ import annotations
@@ -20,20 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import pauli_strings
-from .mps import BondsimError, entanglement_entropy, entropy_bits
+from .mps import BondsimError, entropy_bits
 from .noise import ZNEPair, zne_extrapolate
 
 __all__ = [
-    "DensityEstimate",
     "EnergyEstimate",
     "Tomogram",
     "energy_from_records",
-    "entropy_from_expectations",
     "entropy_with_ci",
-    "expectations_from_tomogram",
-    "project_psd",
+    "pauli_coefficients",
     "project_simplex",
-    "rho_from_expectations",
+    "projected_entropy",
+    "rho_from_coefficients",
     "tomogram_from_shots",
 ]
 
@@ -103,11 +103,12 @@ class Tomogram:
 
     Entry k counts the shots whose bond bits read k, wire 1 the most
     significant bit and bit 1 the outcome -1.  A resampled tomogram holds a
-    stack of such vectors per setting, shape (resamples, 2^n_b).
+    stack of such vectors per setting, shape (resamples, 2^n_b).  An exact
+    tomogram holds probabilities and no shot count.
     """
 
     settings: dict            # basis tuple -> count vector(s)
-    shots_per_setting: int    # smallest shot count over the settings
+    shots_per_setting: int | None  # smallest shot count over the settings
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -153,9 +154,10 @@ def tomogram_from_shots(shots_by_setting: dict, n_b: int,
                     metadata=metadata or {})
 
 
-def _coefficients(tomo: Tomogram, restricted: bool) -> np.ndarray:
+def pauli_coefficients(tomo: Tomogram, restricted: bool = False) -> np.ndarray:
     """Every Pauli-string expectation the tomogram determines, in
-    product("IXYZ") order on the last axis, resamples on the leading axis."""
+    product("IXYZ") order on the last axis, resamples on the leading axis.
+    The restricted chi=4 mode keeps only RESTRICTED_PATTERN; the others are 0."""
     n_b = tomo.n_b
     lead = next(iter(tomo.settings.values())).shape[:-1]
     out = np.zeros(lead + (4 ** n_b,))
@@ -170,22 +172,9 @@ def _coefficients(tomo: Tomogram, restricted: bool) -> np.ndarray:
     return out
 
 
-def expectations_from_tomogram(tomo: Tomogram,
-                               restricted: bool = False) -> dict:
-    """All Pauli-string expectations the tomogram determines."""
-    return dict(zip(_paulis(tomo.n_b),
-                    np.moveaxis(_coefficients(tomo, restricted), -1, 0)))
-
-
-# ---------------------------------------------------------------------------
-# density-matrix assembly
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    rho: np.ndarray
-    psd_projected: bool
-    raw_min_eigenvalue: float
+def rho_from_coefficients(coeffs: np.ndarray, n_b: int) -> np.ndarray:
+    """Linear inversion rho = 2^{-n} sum_P <P> P over the last axis."""
+    return np.einsum("...p,pij->...ij", coeffs, pauli_strings(n_b)) / 2 ** n_b
 
 
 def project_simplex(w: np.ndarray) -> np.ndarray:
@@ -201,45 +190,11 @@ def project_simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w + shift, 0.0)
 
 
-def project_psd(rho: np.ndarray) -> DensityEstimate:
-    """Nearest trace-1 PSD matrix (eigenvalue simplex projection).
-
-    The eigenbasis is kept and the spectrum is projected onto the
-    probability simplex (``project_simplex``).  Idempotent.
-    """
-    h = (rho + rho.conj().T) / 2
-    w, u = np.linalg.eigh(h)
-    raw_min = float(w.min())
-    if raw_min >= 0 and abs(w.sum() - 1.0) < 1e-12:
-        return DensityEstimate(rho=h, psd_projected=False,
-                               raw_min_eigenvalue=raw_min)
-    out = (u * project_simplex(w)) @ u.conj().T
-    return DensityEstimate(rho=out, psd_projected=True,
-                           raw_min_eigenvalue=raw_min)
-
-
-def _rho(coeffs: np.ndarray, n_b: int) -> np.ndarray:
-    """Linear inversion rho = 2^{-n} sum_P <P> P over the last axis."""
-    return np.einsum("...p,pij->...ij", coeffs, pauli_strings(n_b)) / 2 ** n_b
-
-
-def rho_from_expectations(exps: dict) -> np.ndarray:
-    """Linear inversion: rho = 2^{-n} sum_P <P> P (missing strings are 0)."""
-    n = len(next(iter(exps)))
-    return _rho(np.array([exps.get(p, 0.0) for p in _paulis(n)]), n)
-
-
-# ---------------------------------------------------------------------------
-# entropy
-
-
-def entropy_from_expectations(exps: dict, restricted: bool = False) -> float:
-    """Entropy in bits of the PSD-projected linear-inversion state."""
-    if restricted:
-        exps = {p: (v if p in RESTRICTED_PATTERN or set(p) == {"I"} else 0.0)
-                for p, v in exps.items()}
-    est = project_psd(rho_from_expectations(exps))
-    return entanglement_entropy(est.rho).entropy_bits
+def projected_entropy(rho: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the nearest trace-one PSD matrix to each Hermitian
+    rho: its spectrum projected onto the probability simplex (Smolin,
+    Gambetta & Smith, PRL 108, 070502 (2012))."""
+    return entropy_bits(project_simplex(np.linalg.eigvalsh(rho)))
 
 
 def _tomography_entropy(tomo: Tomogram, folded: Tomogram | None,
@@ -247,14 +202,13 @@ def _tomography_entropy(tomo: Tomogram, folded: Tomogram | None,
     """Pauli expectations -> zero-noise extrapolation against the folded
     tomogram (if any) -> linear inversion -> simplex-projected spectrum ->
     entropy in bits, over the resample axis of resampled tomograms."""
-    coeffs = _coefficients(tomo, restricted)
+    coeffs = pauli_coefficients(tomo, restricted)
     if folded is not None:
         coeffs = zne_extrapolate(ZNEPair(
             base_estimates={"coeffs": coeffs},
-            folded_estimates={"coeffs": _coefficients(folded, restricted)}
+            folded_estimates={"coeffs": pauli_coefficients(folded, restricted)}
         ))["coeffs"]
-    w = np.linalg.eigvalsh(_rho(coeffs, tomo.n_b))
-    return entropy_bits(project_simplex(w))
+    return projected_entropy(rho_from_coefficients(coeffs, tomo.n_b))
 
 
 def entropy_with_ci(tomogram: Tomogram, mitigation: Tomogram | None = None,

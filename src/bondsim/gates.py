@@ -91,10 +91,6 @@ def embed(gate: np.ndarray, wires: tuple, n_wires: int) -> np.ndarray:
     return res.reshape(dim, dim)
 
 
-def unitarity_error(u: np.ndarray) -> float:
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
-
-
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance between a and b after optimal global phase alignment."""
     inner = np.trace(a.conj().T @ b)

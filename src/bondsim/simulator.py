@@ -4,6 +4,9 @@ One engine, `_evolve`, computes the exact joint distribution of a circuit's
 labelled outcomes and its leak flag.  Its state is a stack of density
 matrices indexed by the labelled outcomes recorded so far and by a classical
 leak register: a current-leak flag per wire plus one "ever leaked" bit.
+A gate op runs as its native fragment whenever it carries one (a noisy run
+compiles the circuit first), so a compiled or folded circuit is simulated as
+compiled even without noise; a bare gate op applies its unitary.
 Every noise rule is a CPTP map, or an instrument on that register:
 
 * each U_zz leaks each of its wires with probability p_leak, which sets the
@@ -34,8 +37,7 @@ from .gates import PAULI, embed, native_gate
 from .mps import BondsimError
 from .noise import NoiseModel, depolarize
 
-__all__ = ["ShotTable", "SimResult", "sample_shots", "simulate_exact",
-           "shots_to_csv"]
+__all__ = ["ShotTable", "SimResult", "sample_shots", "simulate_exact"]
 
 # Kraus operators of a reset to |0>: |0><0| and |0><1|.
 _RESET_KRAUS = (np.array([[1, 0], [0, 0]], dtype=complex),
@@ -109,8 +111,7 @@ def _branch(rho, outcomes, parts):
 
 def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
     """Exact distribution of (labelled outcomes, leaked) for one circuit."""
-    trivial = noise.trivial
-    if not trivial:
+    if not noise.trivial:
         circuit = compile_circuit(circuit)
     n = circuit.n_wires
     dim = 2 ** n
@@ -174,7 +175,7 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
     snapshot = None
     for op in circuit.ops:
         if op.kind == "gate":
-            if trivial or op.fragment is None:
+            if op.fragment is None:
                 u = embed(np.asarray(op.unitary, dtype=complex), op.wires, n)
                 rho = u @ rho @ u.conj().T
             else:
@@ -254,9 +255,3 @@ def sample_shots(circuit: Circuit, noise: NoiseModel | None = None,
     return ShotTable(labels=tuple(dist.labels), outcomes=dist.outcomes[cells],
                      leaked=dist.leaked[cells])
 
-
-def shots_to_csv(shots: ShotTable, path) -> None:
-    """One row per shot: every label column, then the leak flag (0 / 1)."""
-    np.savetxt(path, np.column_stack([shots.outcomes, shots.leaked]),
-               fmt="%d", delimiter=",", comments="",
-               header=",".join(shots.labels + ("leaked",)))

@@ -169,6 +169,15 @@ def prepare_point(params: AnsatzParams, burn_in_tol: float):
     return tensor, channel, spec, boundary, boundary_prep(boundary), j
 
 
+def _shots(circuit, noise: NoiseModel, cfg: SweepConfig, seed: int) -> tuple:
+    """(shots, retention): cfg.shots draws of one circuit, leak-post-selected
+    when the config asks for it."""
+    shots = sample_shots(circuit, noise, cfg.shots, seed)
+    if cfg.postselect:
+        return leakage_postselect(shots)
+    return shots, 1.0
+
+
 def _energy_point(args):
     (lam, idx, cfg) = args
     noise = cfg.noise or NoiseModel.none()
@@ -179,10 +188,7 @@ def _energy_point(args):
     if not noise.trivial or cfg.zne:
         circuit = compile_circuit(circuit)
     seed = cfg.seed + 1000 * idx
-    shots = sample_shots(circuit, noise, cfg.shots, seed)
-    retention = 1.0
-    if cfg.postselect:
-        shots, retention = leakage_postselect(shots)
+    shots, retention = _shots(circuit, noise, cfg, seed)
     est = energy_from_records(shots, lam)
     row = {
         "lambda": lam, "chi": 2 ** cfg.n_b, "shots": cfg.shots,
@@ -194,10 +200,7 @@ def _energy_point(args):
         "iterations": j,
     }
     if cfg.zne:
-        folded = fold_circuit(circuit)
-        fshots = sample_shots(folded, noise, cfg.shots, seed + 1)
-        if cfg.postselect:
-            fshots, _ = leakage_postselect(fshots)
+        fshots, _ = _shots(fold_circuit(circuit), noise, cfg, seed + 1)
         fest = energy_from_records(fshots, lam)
         comp = zne_extrapolate(ZNEPair(
             base_estimates=est.components, folded_estimates=fest.components))
@@ -231,18 +234,12 @@ def _entropy_point(args):
             bond_frame=frame)
         if not noise.trivial or cfg.zne:
             circuit = compile_circuit(circuit)
-        shots = sample_shots(circuit, noise, cfg.shots, seed + 2 * k)
-        attempted += len(shots)
-        if cfg.postselect:
-            shots, _ = leakage_postselect(shots)
-        kept += len(shots)
-        recs[setting] = shots
+        recs[setting], _ = _shots(circuit, noise, cfg, seed + 2 * k)
+        kept += len(recs[setting])
+        attempted += cfg.shots
         if cfg.zne:
-            fshots = sample_shots(fold_circuit(circuit), noise, cfg.shots,
-                                  seed + 2 * k + 1)
-            if cfg.postselect:
-                fshots, _ = leakage_postselect(fshots)
-            frecs[setting] = fshots
+            frecs[setting], _ = _shots(fold_circuit(circuit), noise, cfg,
+                                       seed + 2 * k + 1)
     tomo = tomogram_from_shots(recs, cfg.n_b, {"lambda": lam})
     folded = tomogram_from_shots(frecs, cfg.n_b) if cfg.zne else None
     s, sig = entropy_with_ci(tomo, mitigation=folded,

@@ -1,10 +1,11 @@
 """Independent exact references for the transverse-field Ising chain
 H = -sum_j (Z_j Z_{j+1} + lambda X_j).
 
-Three routes: free-fermion quadrature for the infinite-chain energy density,
-the closed-form corner-transfer-matrix entanglement spectrum for the
-half-chain entropy, and Lanczos diagonalization of short chains as the
-brute-force cross-check.
+Two routes, both exact to double precision: free-fermion quadrature for the
+infinite-chain energy density, and the closed-form corner-transfer-matrix
+entanglement spectrum for the half-chain entropy.  The brute-force
+cross-check, Lanczos diagonalization of short chains, is a test reference
+(``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -12,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.special import ellipkm1
-
-from .mps import entanglement_entropy
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -36,7 +30,7 @@ class TFIMParams:
 class OracleResult:
     energy_density: float
     entropy_bits: float
-    method: str                  # quadrature | closed_form | exact_diag
+    method: str                  # quadrature | closed_form
     convergence_estimate: float
     converged: bool = True
 
@@ -52,83 +46,6 @@ def exact_energy_density(params: TFIMParams) -> OracleResult:
     val, err = quad(dispersion, 0.0, np.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
     return OracleResult(energy_density=-val / np.pi, entropy_bits=float("nan"),
                         method="quadrature", convergence_estimate=err / np.pi)
-
-
-def _tfim_sparse(n: int, lam: float, periodic: bool) -> sp.csr_matrix:
-    dim = 2 ** n
-    h = sp.csr_matrix((dim, dim))
-    ident = [sp.identity(2, format="csr")] * n
-
-    def site_op(op, j):
-        mats = list(ident)
-        mats[j] = sp.csr_matrix(op)
-        out = mats[0]
-        for m in mats[1:]:
-            out = sp.kron(out, m, format="csr")
-        return out
-
-    for j in range(n):
-        h = h - lam * site_op(_X, j)
-    bonds = n if periodic else n - 1
-    for j in range(bonds):
-        mats = list(ident)
-        mats[j] = sp.csr_matrix(_Z)
-        mats[(j + 1) % n] = sp.csr_matrix(_Z)
-        out = mats[0]
-        for m in mats[1:]:
-            out = sp.kron(out, m, format="csr")
-        h = h - out
-    return h
-
-
-def _flip_operator(n: int) -> sp.csr_matrix:
-    out = sp.csr_matrix(_X)
-    for _ in range(n - 1):
-        out = sp.kron(out, sp.csr_matrix(_X), format="csr")
-    return out
-
-
-def exact_diag(params: TFIMParams, n_sites: int, boundary: str = "periodic") -> OracleResult:
-    """Ground-state energy per site (periodic) or per bond (open) and
-    half-chain entropy by Lanczos diagonalization."""
-    if not 2 <= n_sites <= 14:
-        raise ValueError("n_sites must be in [2, 14]")
-    if boundary not in ("open", "periodic"):
-        raise ValueError("boundary must be 'open' or 'periodic'")
-    lam = params.lam
-    h = _tfim_sparse(n_sites, lam, boundary == "periodic")
-
-    if n_sites <= 4:
-        w, v = np.linalg.eigh(h.toarray())
-    else:
-        w, v = spla.eigsh(h, k=2, which="SA")
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-
-    gap = w[1] - w[0]
-    if gap < 1e-8:
-        # Quasi-degenerate ordered phase: resolve the ground space with the
-        # global spin flip and take its +1 (symmetric, cat-like) eigenstate.
-        flip = _flip_operator(n_sites)
-        block = v[:, :2].conj().T @ (flip @ v[:, :2])
-        bw, bv = np.linalg.eigh((block + block.conj().T) / 2)
-        psi = v[:, :2] @ bv[:, np.argmax(bw)]
-    else:
-        psi = v[:, 0]
-    psi = psi / np.linalg.norm(psi)
-
-    denom = n_sites if boundary == "periodic" else n_sites - 1
-    energy_density = float(w[0]) / denom
-
-    half = n_sites // 2
-    m = psi.reshape(2 ** half, 2 ** (n_sites - half))
-    svals = np.linalg.svd(m, compute_uv=False)
-    probs = svals ** 2
-    probs = probs / probs.sum()
-    rho = np.diag(probs)
-    ent = entanglement_entropy(rho).entropy_bits
-    return OracleResult(energy_density=energy_density, entropy_bits=ent,
-                        method="exact_diag", convergence_estimate=max(gap, 0.0))
 
 
 # ---------------------------------------------------------------------------

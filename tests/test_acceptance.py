@@ -12,16 +12,12 @@ import numpy as np
 import pytest
 
 from bondsim import mps, tfim
-from bondsim.ansatz import canonical_gauge
-from bondsim.circuits import (build_state_prep_circuit, compile_circuit,
-                              tomography_settings)
-from bondsim.estimation import (entropy_from_expectations,
-                                rho_from_expectations)
-from bondsim.gates import rx
+from bondsim.circuits import build_state_prep_circuit, compile_circuit
 from bondsim.noise import NoiseModel, fold_circuit
 from bondsim.simulator import sample_shots, simulate_exact
 from bondsim.sweeps import SweepConfig, get_params, prepare_point, \
     run_energy_sweep
+from references import exact_diag, exact_tomogram, tomography_state
 
 CHI2_ENTROPY_LAMBDAS = (0.2, 0.6, 1.0, 1.2, 2.0)
 CHI4_LAMBDAS = (1.01, 1.05, 1.1, 1.15, 1.2)
@@ -36,35 +32,6 @@ def _report(num, desc, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {num}: {desc}" + (f" ({detail})" if detail else ""))
     assert ok, f"criterion {num}: {desc} {detail}"
-
-
-def _exact_expectations(params, j, restricted=False, gauge=True):
-    """Pauli expectations of the terminal bond state from exact simulation
-    of one tomography circuit per setting."""
-    n_b = params.n_b
-    _, _, spec, boundary, prep, _ = prepare_point(params, 1e-6)
-    frame = None
-    if gauge and n_b == 2:
-        _, _, angles = canonical_gauge(params.tensor())
-        frame = [(rx(a), (1 + k,)) for k, a in enumerate(angles)]
-    exps = {"I" * n_b: 1.0}
-    for setting in tomography_settings(n_b, restricted):
-        c = build_state_prep_circuit(params, prep, j, purpose="tomography",
-                                     setting=setting, bond_frame=frame)
-        res = simulate_exact(c)
-        if n_b == 1:
-            exps.setdefault(setting[0], res.marginals[f"b1:{setting[0]}"])
-        else:
-            a, b = setting
-            exps.setdefault(a + b,
-                            res.pair_products[(f"b1:{a}", f"b2:{b}")])
-            exps.setdefault(a + "I", res.marginals[f"b1:{a}"])
-            exps.setdefault("I" + b, res.marginals[f"b2:{b}"])
-    if restricted and n_b == 2:
-        import itertools
-        for s in map("".join, itertools.product("IXYZ", repeat=2)):
-            exps.setdefault(s, 0.0)
-    return exps
 
 
 def test_criterion_01_oracle_fidelity():
@@ -82,7 +49,7 @@ def test_criterion_01_oracle_fidelity():
         ok = False
         details.append("critical energy != -4/pi")
     for lam in (0.5, 1.5):
-        ed = tfim.exact_diag(tfim.TFIMParams(lam), 12).energy_density
+        ed = exact_diag(tfim.TFIMParams(lam), 12).energy_density
         e_inf = tfim.exact_energy_density(tfim.TFIMParams(lam)).energy_density
         if abs(ed - e_inf) > 2e-3:
             ok = False
@@ -92,7 +59,7 @@ def test_criterion_01_oracle_fidelity():
         ok = False
         details.append(f"entropy oracle at lam=2: {s2}")
     s_half = tfim.exact_half_chain_entropy(tfim.TFIMParams(0.5)).entropy_bits
-    s_ed = tfim.exact_diag(tfim.TFIMParams(0.5), 14, boundary="open").entropy_bits
+    s_ed = exact_diag(tfim.TFIMParams(0.5), 14, boundary="open").entropy_bits
     if abs(s_half - s_ed) > 5e-4:
         ok = False
         details.append("entropy routes disagree at lam=0.5")
@@ -134,8 +101,7 @@ def test_criterion_03_pipeline_exactness(n_b, lambdas):
         if np.linalg.norm(res.bond_rho - rho) > 1e-10:
             ok, detail = False, f"rho mismatch at lam={lam}"
             break
-        exps = _exact_expectations(params, j)
-        s_tomo = entropy_from_expectations(exps)
+        _, s_tomo = tomography_state(exact_tomogram(params, j))
         s_mps = mps.entanglement_entropy(rho).entropy_bits
         if abs(s_tomo - s_mps) > 1e-8:
             ok, detail = False, f"entropy mismatch at lam={lam}: " \
@@ -217,12 +183,11 @@ def test_criterion_07_restricted_tomography():
     for lam in (1.01, 1.05, 1.1, 1.2):
         params = get_params(lam, 2)
         j = 300
-        full = _exact_expectations(params, j, restricted=False)
-        restr = _exact_expectations(params, j, restricted=True)
-        d_rho = np.linalg.norm(rho_from_expectations(full)
-                               - rho_from_expectations(restr))
-        d_s = abs(entropy_from_expectations(full)
-                  - entropy_from_expectations(restr, restricted=True))
+        rho_full, s_full = tomography_state(exact_tomogram(params, j))
+        rho_restr, s_restr = tomography_state(
+            exact_tomogram(params, j, restricted=True), restricted=True)
+        d_rho = np.linalg.norm(rho_full - rho_restr)
+        d_s = abs(s_full - s_restr)
         if d_rho > 1e-10 or d_s > 1e-10:
             ok, detail = False, f"lam={lam}: d_rho={d_rho:.2e}, d_S={d_s:.2e}"
             break

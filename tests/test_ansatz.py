@@ -7,11 +7,11 @@ from bondsim.ansatz import (AnsatzParams, OptimizerConfig, ansatz_gate_sequence,
                             ansatz_num_params, boundary_prep,
                             build_ansatz_unitary, build_full_unitary,
                             canonical_gauge, extract_isometry,
-                            flip_covariance_error, full_unitary_num_params,
-                            gxy_gate, tensor_energy, variational_optimize)
-from bondsim.gates import (X, Y, Z, embed, global_phase_distance, kron_all,
-                           unitarity_error)
+                            full_unitary_num_params, gxy_gate, tensor_energy,
+                            variational_optimize)
+from bondsim.gates import X, Y, Z, embed, global_phase_distance, kron_all
 from bondsim.mps import steady_state
+from references import flip_covariance_error, unitarity_error
 
 ANGLES = st.floats(-np.pi, np.pi, allow_nan=False)
 

@@ -71,5 +71,5 @@ def test_optimizer_objective_is_tensor_energy(monkeypatch):
     monkeypatch.setattr(ansatz, "tensor_energy",
                         lambda *a: calls.append(1) or energy(*a))
     variational_optimize(1.3, 1, "full_unitary",
-                         OptimizerConfig(restarts=1, maxiter=2, polish=False))
+                         OptimizerConfig(restarts=1, maxiter=2))
     assert len(calls) > 10

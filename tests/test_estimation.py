@@ -1,17 +1,23 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from bondsim import mps
+import references
+from bondsim import estimation, mps
 from bondsim.ansatz import build_full_unitary, extract_isometry
 from bondsim.circuits import build_state_prep_circuit, tomography_settings
-from bondsim.estimation import (RESTRICTED_PATTERN, EnergyEstimate, Tomogram,
-                                energy_from_records, entropy_from_expectations,
-                                entropy_with_ci, expectations_from_tomogram,
-                                project_psd, project_simplex,
-                                rho_from_expectations, tomogram_from_shots)
+from bondsim.estimation import (RESTRICTED_PATTERN, Tomogram,
+                                energy_from_records, entropy_with_ci,
+                                pauli_coefficients, project_simplex,
+                                projected_entropy, rho_from_coefficients,
+                                tomogram_from_shots)
+from bondsim.gates import pauli_strings
 from bondsim.mps import BondsimError
 from bondsim.noise import ZNEPair, zne_extrapolate
 from bondsim.simulator import ShotTable, sample_shots, simulate_exact
+from bondsim.sweeps import get_params
 
 COEFFS = 0.35 * np.cos(np.arange(1, 16) * 1.7)
 SITE_U = build_full_unitary(COEFFS, 1)
@@ -70,59 +76,47 @@ def test_tomogram_expectations_match_exact():
 
 def test_reconstruct_1q_recovers_state():
     tomo = sampled_tomogram(shots=50000, seed=3)
-    est = project_psd(rho_from_expectations(expectations_from_tomogram(tomo)))
+    w, u = np.linalg.eigh(rho_from_coefficients(pauli_coefficients(tomo), 1))
+    est = (u * project_simplex(w)) @ u.conj().T
     rho = exact_bond_state()
-    assert np.linalg.norm(est.rho - rho) < 0.02
-    assert np.all(np.linalg.eigvalsh(est.rho) > -1e-12)
+    assert np.linalg.norm(est - rho) < 0.02
+    assert np.all(np.linalg.eigvalsh(est) > -1e-12)
 
 
 def test_project_psd_simplex():
-    est = project_psd(np.diag([1.1, -0.1]))
-    assert np.allclose(est.rho, np.diag([1.0, 0.0]))
-    assert est.psd_projected
-    assert np.isclose(est.raw_min_eigenvalue, -0.1)
-    # idempotent on valid states
-    rho = np.diag([0.75, 0.25])
-    est = project_psd(rho)
-    assert np.allclose(est.rho, rho)
-    assert not est.psd_projected
+    """The spectrum of an unphysical state moves to the nearest point of the
+    simplex, a valid one stays put, and projected_entropy reads the result."""
+    assert np.allclose(project_simplex(np.array([1.1, -0.1])), [1.0, 0.0])
+    assert np.array_equal(project_simplex(np.array([0.75, 0.25])),
+                          [0.75, 0.25])
+    assert projected_entropy(np.diag([1.1, -0.1])) == 0.0
+    h = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
+    assert np.isclose(projected_entropy(np.diag([0.25, 0.75])), h, atol=1e-15)
 
 
-def test_project_psd_preserves_eigenbasis():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(4, 4))
-    h = (a + a.T) / 2
-    h = h / np.trace(h)
-    est = project_psd(h)
-    w = np.linalg.eigvalsh(est.rho)
-    assert w.min() > -1e-14
-    assert np.isclose(w.sum(), 1.0)
-    # projection only moves the spectrum
-    _, u_in = np.linalg.eigh(h)
-    _, u_out = np.linalg.eigh(est.rho)
-    assert np.linalg.norm(est.rho @ h - h @ est.rho) < 1e-12
-
-
-def test_project_simplex_stack_matches_project_psd():
-    """Row by row, the stacked projection is the spectrum project_psd
-    keeps, on Hermitian stacks with negative eigenvalues and trace != 1."""
+def test_project_simplex_is_the_euclidean_projection():
+    """Row by row on stacks with negative entries and sums != 1, the output
+    meets the optimality conditions of min |p - w| over the simplex: p is a
+    distribution, p - w is one constant on the support, and no entry off the
+    support would rise above 0 by that constant.  projected_entropy runs the
+    same projection on the spectra of a Hermitian stack."""
     rng = np.random.default_rng(12)
     for dim in (2, 4):
-        a = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
-        spectra = rng.normal(0.3, 0.5, size=(50, dim))
-        spectra[:, 0] = -0.05 - np.abs(spectra[:, 0])
-        basis = np.linalg.qr(a)[0]
-        h = (basis * spectra[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-        w, u = np.linalg.eigh(h)
-        assert (w.min(axis=1) < 0).all()
+        w = rng.normal(0.3, 0.5, size=(50, dim))
+        w[:, 0] = -0.05 - np.abs(w[:, 0])
         assert (np.abs(w.sum(axis=1) - 1) > 1e-3).all()
         p = project_simplex(w)
         assert p.min() >= 0 and np.allclose(p.sum(axis=1), 1, atol=1e-14)
-        for k in range(len(h)):
-            ref = project_psd(h[k]).rho
-            assert np.linalg.norm((u[k] * p[k]) @ u[k].conj().T - ref) < 1e-12
-            assert np.allclose(np.sort(p[k]), np.linalg.eigvalsh(ref),
-                               atol=1e-12)
+        for k in range(len(w)):
+            on = p[k] > 0
+            shift = (p[k] - w[k])[on]
+            assert np.ptp(shift) < 1e-12
+            assert (w[k][~on] + shift[0] <= 1e-12).all()
+        a = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
+        basis = np.linalg.qr(a)[0]
+        h = (basis * w[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+        assert np.allclose(projected_entropy(h), mps.entropy_bits(p),
+                           atol=1e-12)
 
 
 def test_rho_from_expectations_roundtrip():
@@ -130,11 +124,10 @@ def test_rho_from_expectations_roundtrip():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    import itertools
-    from bondsim.gates import PAULI, kron_all
-    exps = {"".join(s): np.trace(rho @ kron_all(PAULI[s[0]], PAULI[s[1]])).real
-            for s in itertools.product("IXYZ", repeat=2)}
-    assert np.linalg.norm(rho_from_expectations(exps) - rho) < 1e-12
+    coeffs = np.einsum("ij,pji->p", rho, pauli_strings(2)).real
+    assert np.linalg.norm(rho_from_coefficients(coeffs, 2) - rho) < 1e-12
+    stack = rho_from_coefficients(np.stack([coeffs, coeffs]), 2)
+    assert stack.shape == (2, 4, 4) and np.allclose(stack, rho, atol=1e-12)
 
 
 def test_restricted_pattern_is_flip_even():
@@ -169,7 +162,8 @@ def test_point_estimate_matches_single_matrix_reference(n_b, restricted,
                                                         pure):
     """The batched pipeline's point estimate is the single-matrix entropy of
     the zero-noise-extrapolated expectations; the pure states put the
-    extrapolated spectrum outside the simplex, so the projection acts."""
+    extrapolated spectrum outside the simplex, so the projection acts.  The
+    reference assembles, projects and reads the one matrix here."""
     site_u = SITE_U if n_b == 1 else build_full_unitary(
         0.3 * np.sin(np.arange(1, 64) * 0.9), 2)
     tomo, folded = (pure_tomogram(n_b, seed) if pure else
@@ -177,11 +171,14 @@ def test_point_estimate_matches_single_matrix_reference(n_b, restricted,
                     for seed in (21, 31))
     s, _ = entropy_with_ci(tomo, mitigation=folded, bootstrap_b=100,
                            restricted=restricted)
-    exps = zne_extrapolate(ZNEPair(
-        base_estimates=expectations_from_tomogram(tomo, restricted),
-        folded_estimates=expectations_from_tomogram(folded, restricted)))
-    assert project_psd(rho_from_expectations(exps)).psd_projected == pure
-    assert abs(s - entropy_from_expectations(exps, restricted)) < 1e-12
+    coeffs = zne_extrapolate(ZNEPair(
+        base_estimates={"c": pauli_coefficients(tomo, restricted)},
+        folded_estimates={"c": pauli_coefficients(folded, restricted)}))["c"]
+    rho = np.einsum("p,pij->ij", coeffs, pauli_strings(n_b)) / 2 ** n_b
+    w, u = np.linalg.eigh(rho)
+    assert (w.min() < 0) == pure
+    ref = mps.entanglement_entropy((u * project_simplex(w)) @ u.conj().T)
+    assert abs(s - ref.entropy_bits) < 1e-12
 
 
 def test_entropy_with_ci_input_guards():
@@ -231,7 +228,29 @@ def test_expectations_from_tomogram_restricted_zeros():
     settings = {s: np.array([10, 0, 0, 10]) for s in
                 [("X", "X"), ("Y", "Z"), ("Z", "Y")]}
     tomo = Tomogram(settings=settings, shots_per_setting=20, metadata={})
-    exps = expectations_from_tomogram(tomo, restricted=True)
+    coeffs = pauli_coefficients(tomo, restricted=True)
+    assert coeffs.shape == (16,)
+    exps = dict(zip(map("".join, itertools.product("IXYZ", repeat=2)), coeffs))
     assert exps["YY"] == 0.0 and exps["ZZ"] == 0.0
-    assert set(exps) == {"".join(p) for p in
-                         __import__("itertools").product("IXYZ", repeat=2)}
+    assert exps["II"] == exps["XX"] == exps["YZ"] == exps["ZY"] == 1.0
+    assert {p for p, v in exps.items() if v} <= set(RESTRICTED_PATTERN)
+
+
+def test_exact_checks_run_the_estimator_of_entropy_with_ci(monkeypatch):
+    """Acceptance criteria 03 and 07 reach rho and S through the functions
+    that make entropy_with_ci's point estimate and its bootstrap stack."""
+    calls = Counter()
+    names = ("pauli_coefficients", "rho_from_coefficients",
+             "projected_entropy")
+    for name in names:
+        fn = getattr(estimation, name)
+        monkeypatch.setattr(estimation, name, lambda *a, _fn=fn, _name=name,
+                            **kw: calls.update([_name]) or _fn(*a, **kw))
+    entropy_with_ci(sampled_tomogram(shots=500, seed=8), bootstrap_b=100)
+    assert calls == {name: 2 for name in names}
+    calls.clear()
+    params = get_params(1.2, 2, optimize_if_missing=False)
+    references.tomography_state(
+        references.exact_tomogram(params, 40, restricted=True),
+        restricted=True)
+    assert calls == {name: 1 for name in names}

@@ -13,7 +13,7 @@ from bondsim.circuits import (Circuit, build_state_prep_circuit,
 from bondsim.estimation import energy_from_records
 from bondsim.kak import NativeCircuitFragment
 from bondsim.noise import NoiseModel
-from bondsim.simulator import sample_shots, shots_to_csv, simulate_exact
+from bondsim.simulator import sample_shots, simulate_exact
 from bondsim.sweeps import get_params, prepare_point
 
 # a fixed, mildly entangling chi=2 site unitary (no optimization involved)
@@ -181,22 +181,6 @@ def test_exact_spectator_measurement_crosstalk():
     assert pur(many) < pur(few) - 1e-6
 
 
-def test_shot_csv(tmp_path):
-    c = build_state_prep_circuit(SITE_U, None, 4, purpose="energy",
-                                 schedule=[(3, "X"), (4, "Z")])
-    shots = sample_shots(c, None, 50, seed=1)
-    path = tmp_path / "shots.csv"
-    shots_to_csv(shots, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 51
-    header = lines[0].split(",")
-    assert header == list(shots.labels) + ["leaked"]
-    assert "m3:X" in header and "m4:Z" in header and "seed" not in header
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int)
-    assert np.array_equal(rows[:, :-1], shots.outcomes)
-    assert np.array_equal(rows[:, -1], shots.leaked)
-
-
 def test_sampled_tomography_matches_exact_distribution():
     c = build_state_prep_circuit(SITE_U, None, J, purpose="tomography",
                                  setting=("X",))
@@ -264,6 +248,19 @@ def test_reset_clears_flag_but_not_leak_record():
     shots = sample_shots(c, LEAK_ONLY, 2000, seed=4)
     assert (shots.column("m") == -1).all()
     assert np.array_equal(shots.leaked, shots.column("leak") == -1)
+
+
+def test_zero_noise_runs_the_attached_fragment():
+    """A gate op that carries a native fragment is simulated by the fragment
+    even without noise, so a compiled or folded circuit is checked as it
+    runs: here the unitary is the identity and the fragment flips wire 1."""
+    flip = NativeCircuitFragment(n_wires=2, ops=[("rx", (1,), np.pi)])
+    c = Circuit(n_wires=2, ops=(gate(np.eye(4), (0, 1), fragment=flip),
+                                measure(1, "Z", "m")))
+    for noise in (None, NoiseModel.none()):
+        assert np.isclose(simulate_exact(c, noise).marginals["m"], -1.0,
+                          atol=1e-12)
+        assert (sample_shots(c, noise, 50, seed=2).column("m") == -1).all()
 
 
 def test_partial_leak_check_rejected():

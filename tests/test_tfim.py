@@ -12,8 +12,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe
 
-from bondsim.tfim import (TFIMParams, exact_diag, exact_energy_density,
+from bondsim.tfim import (TFIMParams, exact_energy_density,
                           exact_half_chain_entropy)
+from references import exact_diag
 
 
 def closed_form_energy(lam):
