@@ -219,6 +219,12 @@ class OptimizerConfig:
     seed: int = 20240901
     maxiter: int = 6000
 
+    def __post_init__(self):
+        for name in ("restarts", "maxiter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+
 
 def _num_params(n_b: int, mode: str) -> int:
     if mode == "ansatz":

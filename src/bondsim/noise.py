@@ -109,14 +109,18 @@ def _fold_fragment(frag: NativeCircuitFragment) -> NativeCircuitFragment:
 
 
 def fold_circuit(circuit: Circuit) -> Circuit:
-    """Triple every entangler in a native-compiled circuit."""
+    """Triple every entangler in a native-compiled circuit.  Ops that share
+    a fragment share its folded copy, as compiled ops share fragments."""
+    folded: dict = {}
     ops = []
     for op in circuit.ops:
         if op.kind == "gate":
             if op.fragment is None:
                 raise ValueError("fold_circuit needs native fragments;"
                                  " run compile_circuit first")
-            ops.append(_dc_replace(op, fragment=_fold_fragment(op.fragment)))
+            if id(op.fragment) not in folded:
+                folded[id(op.fragment)] = _fold_fragment(op.fragment)
+            ops.append(_dc_replace(op, fragment=folded[id(op.fragment)]))
         else:
             ops.append(op)
     meta = dict(circuit.metadata)

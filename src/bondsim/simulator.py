@@ -19,6 +19,17 @@ Every noise rule is a CPTP map, or an instrument on that register:
   bond wire (eps_meas, eps_reset);
 * leak_check records the ever bit (-1 = leaked).
 
+The burn-in is one matrix power.  Just after a reset of the system wire the
+state is |0><0| there times a bond density matrix in each register state
+whose system flag is clear: the carrier, 16 or 80 numbers at chi=4 without
+or with leakage.  The leading run of identical [reset(0); gates] iterations
+(all of a tomography circuit's; an energy circuit's up to its first
+measurement) maps the carrier linearly, so after the run's first reset
+_evolve applies the matrix of one iteration, raised to the count minus one,
+and goes on op by op.  That matrix is built by running the carrier basis
+through the same per-op rules, and the last two are memoized by content,
+so every tomography setting of a point reuses its base and folded burn-in.
+
 simulate_exact reads marginals, pair products, retention and the bond state
 off that distribution; sample_shots makes one seeded draw of shots from it
 and returns them as columns, a ShotTable: one int8 column of +-1 per label
@@ -27,12 +38,14 @@ and a leak flag per shot.
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .circuits import Circuit, compile_circuit
+from .circuits import Circuit, CircuitOp, compile_circuit
 from .gates import PAULI, embed, native_gate
 from .mps import BondsimError
 from .noise import NoiseModel, depolarize
@@ -109,6 +122,73 @@ def _branch(rho, outcomes, parts):
     return rho, np.column_stack([np.repeat(outcomes, 2, axis=0), signs])
 
 
+def _same_op(a: CircuitOp, b: CircuitOp) -> bool:
+    """Ops that evolve a state alike: one kind, wires, basis and label, and
+    the very same unitary and fragment objects (the circuit builder,
+    compile_circuit and fold_circuit share them across iterations)."""
+    return (a.unitary is b.unitary and a.fragment is b.fragment
+            and (a.kind, a.wires, a.basis, a.label)
+            == (b.kind, b.wires, b.basis, b.label))
+
+
+def _find_run(ops: tuple):
+    """(start, length, count) of the leading run of repeated [reset(0);
+    gates] iterations, from the first reset of wire 0; None if the first
+    iteration does not repeat."""
+    resets = [i for i, op in enumerate(ops)
+              if op.kind == "reset" and op.wires == (0,)]
+    if len(resets) < 2 or any(op.kind != "gate"
+                              for op in ops[resets[0] + 1:resets[1]]):
+        return None
+    start, length = resets[0], resets[1] - resets[0]
+
+    def repeats(k: int) -> bool:
+        nxt = ops[start + k * length:start + (k + 1) * length]
+        return len(nxt) == length and all(
+            map(_same_op, ops[start:start + length], nxt))
+
+    count = 1
+    while repeats(count):
+        count += 1
+    return (start, length, count) if count > 1 else None
+
+
+def _op_key(op: CircuitOp) -> tuple:
+    """An op's content as a hashable key: ops with equal keys evolve a
+    state alike."""
+    frag = op.fragment and tuple((name, tuple(wires), angle)
+                                 for name, wires, angle in op.fragment.ops)
+    u = None if op.unitary is None else np.asarray(op.unitary).tobytes()
+    return (op.kind, op.wires, op.basis, op.label, frag, u)
+
+
+# Carrier maps of repeated blocks, keyed by (n_wires, noise model, block
+# content).  Two entries hold one point's base and folded blocks, which every
+# tomography setting of the point shares.
+_BLOCK_CHANNELS: OrderedDict = OrderedDict()
+# Carrier basis operators per pass of the engine: one leak-register state's
+# worth at chi=4, a stack smaller than a tomography circuit's final state.
+_BASIS_CHUNK = 16
+
+
+def _build_block_channel(push, size: int) -> np.ndarray:
+    """The matrix of the linear carrier map `push` (row vectors in, row
+    vectors out), from the carrier basis, _BASIS_CHUNK operators at a time."""
+    basis = np.eye(size, dtype=complex)
+    return np.concatenate([push(basis[lo:lo + _BASIS_CHUNK])
+                           for lo in range(0, size, _BASIS_CHUNK)])
+
+
+def _block_channel(key: tuple, push, size: int) -> np.ndarray:
+    """_build_block_channel, memoized under `key` in _BLOCK_CHANNELS."""
+    if key not in _BLOCK_CHANNELS:
+        if len(_BLOCK_CHANNELS) == 2:
+            _BLOCK_CHANNELS.popitem(last=False)
+        _BLOCK_CHANNELS[key] = _build_block_channel(push, size)
+    _BLOCK_CHANNELS.move_to_end(key)
+    return _BLOCK_CHANNELS[key]
+
+
 def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
     """Exact distribution of (labelled outcomes, leaked) for one circuit."""
     if not noise.trivial:
@@ -168,19 +248,46 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
                 rho = shift(uzz_leak[wires], rho)
         return rho
 
+    def channel(rho, op):
+        """A gate or a reset: the ops that record no outcome."""
+        if op.kind == "reset":
+            w = op.wires[0]
+            rho = sum(k @ rho @ k.conj().T for k in kraus[w])
+            if n_reg > 1:
+                rho = shift(clear(w), rho)
+            return spectator(rho, noise.eps_reset) if w == 0 else rho
+        if op.fragment is None:
+            u = embed(np.asarray(op.unitary, dtype=complex), op.wires, n)
+            return u @ rho @ u.conj().T
+        for name, wires, angle in op.fragment.ops:
+            rho = native(rho, name, tuple(wires), angle)
+        return rho
+
+    # The carrier: the bond matrices of the register states whose wire-0
+    # flag is clear, flattened (see the module docstring).
+    regs, half = np.flatnonzero(~flagged[:, 0]), dim // 2
+
+    def carrier(rho):
+        return rho[:, regs, :half, :half].reshape(len(rho), -1)
+
+    def uncarrier(vec):
+        rho = np.zeros((len(vec), n_reg, dim, dim), dtype=complex)
+        rho[:, regs, :half, :half] = vec.reshape(len(vec), len(regs), half,
+                                                 half)
+        return rho
+
     rho = np.zeros((1, n_reg, dim, dim), dtype=complex)
     rho[0, 0, 0, 0] = 1.0
     outcomes = np.zeros((1, 0), dtype=np.int8)
     labels: list = []
     snapshot = None
-    for op in circuit.ops:
-        if op.kind == "gate":
-            if op.fragment is None:
-                u = embed(np.asarray(op.unitary, dtype=complex), op.wires, n)
-                rho = u @ rho @ u.conj().T
-            else:
-                for name, wires, angle in op.fragment.ops:
-                    rho = native(rho, name, tuple(wires), angle)
+    ops = circuit.ops
+    run = _find_run(ops)
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        if op.kind in ("gate", "reset"):
+            rho = channel(rho, op)
         elif op.kind == "measure":
             w = op.wires[0]
             pauli = embed(PAULI[op.basis], op.wires, n)
@@ -194,13 +301,6 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
             labels.append(op.label)
             if w == 0:
                 rho = spectator(rho, noise.eps_meas)
-        elif op.kind == "reset":
-            w = op.wires[0]
-            rho = sum(k @ rho @ k.conj().T for k in kraus[w])
-            if n_reg > 1:
-                rho = shift(clear(w), rho)
-            if w == 0:
-                rho = spectator(rho, noise.eps_reset)
         elif op.kind == "leak_check":
             if sorted(op.wires) != list(range(n)):
                 raise ValueError("leak_check must list every wire")
@@ -209,6 +309,20 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
             clean[:, 0] = rho[:, 0]
             rho, outcomes = _branch(rho, outcomes, [clean, rho - clean])
             labels.append(op.label)
+        if run is not None and i == run[0]:
+            # The run's first reset is done.  The rest of the run, through
+            # its last reset, is count - 1 iterations of [gates; reset]: one
+            # matrix power on the carrier.
+            start, length, count = run
+            steps = ops[start + 1:start + length] + (ops[start],)
+            m = _block_channel(
+                (n, noise, tuple(map(_op_key, steps))),
+                lambda vec: carrier(functools.reduce(channel, steps,
+                                                     uncarrier(vec))),
+                len(regs) * half * half)
+            rho = uncarrier(carrier(rho) @ np.linalg.matrix_power(m, count - 1))
+            i += (count - 1) * length
+        i += 1
         total = np.einsum("brii->", rho).real
         if abs(total - 1.0) > 1e-10:
             raise BondsimError(f"state lost trace: {total}")

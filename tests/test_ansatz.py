@@ -143,6 +143,13 @@ def test_optimize_deterministic():
     assert e1 == e2
 
 
+@pytest.mark.parametrize("field", ["restarts", "maxiter"])
+def test_optimizer_config_rejects_empty_budget(field):
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            OptimizerConfig(**{field: bad})
+
+
 def test_boundary_prep_first_column():
     rng = np.random.default_rng(3)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -31,6 +31,13 @@ def test_bad_usage_exit_code():
                      "--steps", steps]) == 2
 
 
+def test_optimize_rejects_empty_budget(capsys):
+    """--restarts 0 is a usage error with its own message, not a failure
+    deep inside the optimizer."""
+    assert main(["optimize", "--lam", "1.2", "--restarts", "0"]) == 2
+    assert "restarts must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path):
     out = tmp_path / "oracle.csv"
     rc = main(["oracle", "--lambda-list", "0.5,1.0,2.0", "--out", str(out)])

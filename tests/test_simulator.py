@@ -2,19 +2,25 @@
 bond-channel formalism they are supposed to dilate and against closed forms
 of the leak rules."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from bondsim import mps
-from bondsim.ansatz import build_full_unitary, extract_isometry
+from bondsim import mps, simulator
+from bondsim.ansatz import (build_full_unitary, canonical_gauge,
+                            extract_isometry)
 from bondsim.circuits import (Circuit, build_state_prep_circuit,
                               compile_circuit, gate, leak_check, measure,
                               reset)
 from bondsim.estimation import energy_from_records
+from bondsim.gates import rx
 from bondsim.kak import NativeCircuitFragment
-from bondsim.noise import NoiseModel
+from bondsim.mps import BondsimError
+from bondsim.noise import NoiseModel, fold_circuit
 from bondsim.simulator import sample_shots, simulate_exact
-from bondsim.sweeps import get_params, prepare_point
+from bondsim.sweeps import (SweepConfig, get_params, prepare_point,
+                            run_entropy_sweep)
 
 # a fixed, mildly entangling chi=2 site unitary (no optimization involved)
 COEFFS = 0.35 * np.cos(np.arange(1, 16) * 1.7)
@@ -267,3 +273,126 @@ def test_partial_leak_check_rejected():
     c = Circuit(n_wires=2, ops=(leak_check((1,), "leak"),))
     with pytest.raises(ValueError):
         simulate_exact(c, LEAK_ONLY)
+
+
+# ---------------------------------------------------------------------------
+# the repeated block as one matrix power of its carrier map
+
+NOISES = {"default": NoiseModel(), "no-leak": NoiseModel(p_leak=0.0),
+          "zero": NoiseModel.none()}
+
+
+def _point_circuits(lam, n_b):
+    """A point's energy and tomography circuits, compiled, base and folded,
+    built as the sweeps build them."""
+    params = get_params(lam, n_b, optimize_if_missing=False)
+    tensor, *_, prep, j = prepare_point(params, 1e-4)
+    frame = None
+    if n_b == 2:
+        _, _, angles = canonical_gauge(tensor)
+        frame = [(rx(a), (1 + k,)) for k, a in enumerate(angles)
+                 if abs(a) > 1e-12]
+    energy = build_state_prep_circuit(params, prep, j, purpose="energy")
+    tomo = build_state_prep_circuit(params, prep, j, purpose="tomography",
+                                    setting=("Y",) + ("Z",) * (n_b - 1),
+                                    bond_frame=frame)
+    for c in map(compile_circuit, (energy, tomo)):
+        yield c
+        yield fold_circuit(c)
+
+
+@pytest.mark.parametrize("lam,n_b", [(0.0, 1), (1.0, 1), (2.0, 1),
+                                     (1.01, 2), (1.2, 2)])
+def test_power_step_matches_op_by_op(lam, n_b, monkeypatch):
+    for circuit in _point_circuits(lam, n_b):
+        for noise in NOISES.values():
+            fast = simulator._evolve(circuit, noise)
+            with monkeypatch.context() as m:
+                m.setattr(simulator, "_find_run", lambda ops: None)
+                slow = simulator._evolve(circuit, noise)
+            assert fast.labels == slow.labels
+            assert np.array_equal(fast.outcomes, slow.outcomes)
+            assert np.array_equal(fast.leaked, slow.leaked)
+            assert np.abs(fast.probs - slow.probs).max() < 1e-12
+            assert np.abs(fast.bond_rho - slow.bond_rho).max() < 1e-12
+
+
+def test_run_covers_the_burn_in():
+    """Every iteration of a tomography circuit is in the run, and in an
+    energy circuit every iteration before the first measurement; folding
+    keeps the iterations alike."""
+    params = get_params(1.2, 1)
+    *_, prep, j = prepare_point(params, 1e-4)
+    for purpose, count in (("tomography", j), ("energy", j - 2)):
+        c = compile_circuit(build_state_prep_circuit(params, prep, j,
+                                                     purpose=purpose))
+        for circuit in (c, fold_circuit(c)):
+            start, length, found = simulator._find_run(circuit.ops)
+            assert (start, length, found) == (1, 2, count)
+
+
+def _counting_builds(monkeypatch) -> list:
+    """Clear the memo and record the memo size at every build of a carrier
+    map."""
+    monkeypatch.setattr(simulator, "_BLOCK_CHANNELS", OrderedDict())
+    sizes = []
+    build = simulator._build_block_channel
+
+    def counted(*args):
+        sizes.append(len(simulator._BLOCK_CHANNELS))
+        return build(*args)
+
+    monkeypatch.setattr(simulator, "_build_block_channel", counted)
+    return sizes
+
+
+def test_warm_memo_is_bitwise_cold(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    circuits = list(_point_circuits(1.2, 2))[2:]   # tomography base, folded
+    cold = [simulator._evolve(c, NoiseModel()) for c in circuits]
+    warm = [simulator._evolve(c, NoiseModel()) for c in circuits]
+    assert len(builds) == 2
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a.bond_rho, b.bond_rho)
+    simulator._BLOCK_CHANNELS.clear()
+    again = simulator._evolve(circuits[1], NoiseModel())
+    assert np.array_equal(again.probs, cold[1].probs)
+
+
+def test_memo_holds_at_most_two_blocks(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    for lam in (0.4, 1.2, 2.0):
+        for circuit in _point_circuits(lam, 1):
+            simulator._evolve(circuit, NoiseModel())
+            assert len(simulator._BLOCK_CHANNELS) <= 2
+    # energy and tomography circuits of a point share their blocks
+    assert len(builds) == 6
+    assert max(builds) <= 1      # an entry is evicted before a build
+
+
+def test_chi4_point_builds_two_carrier_maps(monkeypatch):
+    """One restricted ZNE point runs six circuits (three settings, base and
+    folded) but builds only the base and the folded block's map."""
+    monkeypatch.delenv("BONDSIM_WORKERS", raising=False)
+    builds = _counting_builds(monkeypatch)
+    cfg = SweepConfig(lambda_grid=(1.2,), n_b=2, shots=300,
+                      noise=NoiseModel(), zne=True, postselect=True,
+                      restricted_tomography=True, bootstrap_b=100,
+                      entropy_oracle=False, seed=1)
+    row = run_entropy_sweep(cfg)[0]
+    assert "error" not in row
+    assert len(builds) == 2
+
+
+def test_power_step_keeps_the_trace_check(monkeypatch):
+    """A block whose gate is not trace-preserving fails the trace check on
+    the state the power step leaves, before any gate runs op by op."""
+    builds = _counting_builds(monkeypatch)
+    shrink = 0.9 * np.eye(4)
+    c = Circuit(n_wires=2, ops=(reset(0), gate(shrink, (0, 1))) * 5
+                + (leak_check((0, 1), "leak"),))
+    assert simulator._find_run(c.ops) == (0, 2, 5)
+    with pytest.raises(BondsimError, match="state lost trace"):
+        simulate_exact(c)
+    assert len(builds) == 1
