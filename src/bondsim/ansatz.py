@@ -139,9 +139,8 @@ def build_full_unitary(coeffs: np.ndarray, n_b: int) -> np.ndarray:
     basis = pauli_strings(1 + n_b)[1:]  # drop the identity
     if coeffs.shape != (len(basis),):
         raise ValueError("coefficient vector has wrong length")
-    gen = np.zeros_like(basis[0])
-    for c, p in zip(coeffs, basis):
-        gen = gen + c * p
+    # one reduction, which adds the terms in basis order like a loop would
+    gen = np.add.reduce(coeffs[:, None, None] * basis, axis=0)
     return expm(1j * gen)
 
 
@@ -165,8 +164,7 @@ def extract_isometry(u: np.ndarray, n_b: int) -> MPSTensor:
 def tensor_energy(tensor: MPSTensor, lam: float) -> float:
     """TFIM energy density -(<Z_j Z_{j+1}> + lam <X_j>) in the steady state
     (``mps.steady_state``), the package's one energy of a tensor."""
-    v = tensor.data
-    ex, ezz = ising_terms((v[0].T, v[1].T), steady_state(tensor))
+    ex, ezz = ising_terms(tensor.data.transpose(0, 2, 1), steady_state(tensor))
     return -(ezz + lam * ex)
 
 

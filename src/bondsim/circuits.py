@@ -12,6 +12,7 @@ register.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -207,13 +208,21 @@ def tomography_settings(n_b: int, restricted: bool = False) -> list:
     raise ValueError("tomography settings defined for n_b in {1, 2}")
 
 
+@functools.lru_cache(maxsize=64)
+def _fragment(u_bytes: bytes, wires: tuple, n_wires: int) -> NativeCircuitFragment:
+    """decompose_to_native of the gate with these bytes, memoized across
+    circuits: one chi=4 point's circuits repeat 20 distinct gates."""
+    d = 2 ** len(wires)
+    u = np.frombuffer(u_bytes, dtype=complex).reshape(d, d)
+    return decompose_to_native(u, wires=wires, n_wires=n_wires)
+
+
 def compile_circuit(circuit: Circuit) -> Circuit:
     """Attach native fragments to every gate op (required for noisy runs).
 
-    Each distinct (unitary, wires) pair is decomposed once; the ops that
-    repeat it share the fragment.
+    Each distinct (unitary, wires) pair is decomposed once, also across
+    calls; the ops that repeat it share the fragment.
     """
-    fragments: dict = {}
     ops = []
     for op in circuit.ops:
         if op.kind == "gate" and op.fragment is None:
@@ -221,12 +230,9 @@ def compile_circuit(circuit: Circuit) -> Circuit:
                 raise BondsimError(
                     "cannot compile a three-qubit gate to native form; "
                     "use a tiled layout")
-            u = np.asarray(op.unitary, dtype=complex)
-            key = (u.tobytes(), op.wires)
-            if key not in fragments:
-                fragments[key] = decompose_to_native(
-                    u, wires=op.wires, n_wires=circuit.n_wires)
-            ops.append(replace(op, fragment=fragments[key]))
+            u = np.asarray(op.unitary, dtype=complex).tobytes()
+            ops.append(replace(op, fragment=_fragment(u, op.wires,
+                                                      circuit.n_wires)))
         else:
             ops.append(op)
     return Circuit(n_wires=circuit.n_wires, ops=tuple(ops),

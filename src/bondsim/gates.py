@@ -45,10 +45,7 @@ def native_gate(name: str, angle: float | None = None) -> np.ndarray:
 
 
 def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    return functools.reduce(np.kron, mats)
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,34 +58,31 @@ def pauli_strings(n: int) -> np.ndarray:
     return mats
 
 
-def embed(gate: np.ndarray, wires: tuple, n_wires: int) -> np.ndarray:
-    """Expand a 1- or 2-qubit gate acting on `wires` to the full register.
-
-    Wire 0 is the most significant bit of the basis-state index.
-    """
-    n_g = len(wires)
-    if gate.shape != (2 ** n_g, 2 ** n_g):
-        raise ValueError("gate shape does not match wire count")
-    g = gate.reshape((2,) * (2 * n_g))
+@functools.lru_cache(maxsize=None)
+def _placement(wires: tuple, n_wires: int) -> tuple:
+    """(flat register-matrix positions, flat gate positions) of a gate on
+    `wires`: the entries whose row and column agree on every other wire."""
     dim = 2 ** n_wires
-    full = np.eye(dim, dtype=complex).reshape((2,) * (2 * n_wires))
-    axes_in = [w for w in wires]
-    res = np.tensordot(g, full, axes=(list(range(n_g, 2 * n_g)), axes_in))
-    # tensordot puts the gate output axes first; move them back to wire slots
-    order = []
-    gate_axes = list(range(n_g))
-    rest = list(range(n_g, 2 * n_wires))
-    pos = {}
-    k = 0
-    for ax in range(2 * n_wires):
-        if ax in axes_in:
-            pos[ax] = gate_axes[axes_in.index(ax)]
-        else:
-            pos[ax] = rest[k]
-            k += 1
-    order = [pos[ax] for ax in range(2 * n_wires)]
-    res = res.transpose(order)
-    return res.reshape(dim, dim)
+    idx = np.arange(dim)
+    shifts = n_wires - 1 - np.array(wires)
+    sub = ((idx[:, None] >> shifts) & 1) @ (1 << np.arange(len(wires))[::-1])
+    rest = idx & ~int((1 << shifts).sum())
+    rows, cols = np.nonzero(rest[:, None] == rest[None, :])
+    return rows * dim + cols, sub[rows] * 2 ** len(wires) + sub[cols]
+
+
+def embed(gate: np.ndarray, wires: tuple, n_wires: int) -> np.ndarray:
+    """Expand a gate acting on `wires` to the full register, identity on
+    the other wires.  Wire 0 is the most significant bit of the basis-state
+    index.  The gate's entries are placed, not multiplied; a -0.0 in them
+    becomes 0.0, as in a matrix product with the identity.
+    """
+    if gate.shape != (2 ** len(wires),) * 2:
+        raise ValueError("gate shape does not match wire count")
+    dest, src = _placement(tuple(wires), n_wires)
+    full = np.zeros(4 ** n_wires, dtype=complex)
+    full[dest] = (gate + 0.0).ravel()[src]
+    return full.reshape(2 ** n_wires, 2 ** n_wires)
 
 
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -67,8 +67,7 @@ class BondChannel:
     def __post_init__(self):
         k0, k1 = (np.asarray(k, dtype=complex) for k in self.kraus)
         object.__setattr__(self, "kraus", (k0, k1))
-        t = np.kron(k0, k0.conj()) + np.kron(k1, k1.conj())
-        object.__setattr__(self, "transfer", t)
+        object.__setattr__(self, "transfer", transfer_matrix((k0, k1)))
 
     @property
     def chi(self) -> int:
@@ -116,6 +115,15 @@ def is_isometry(tensor: MPSTensor, tol: float = ISO_TOL) -> bool:
     return np.linalg.norm(gram - np.eye(tensor.chi)) <= tol
 
 
+def transfer_matrix(kraus) -> np.ndarray:
+    """kron(K_0, conj K_0) + kron(K_1, conj K_1) of the Kraus pair or its
+    (2, chi, chi) stack, as one broadcast product: the multiplies np.kron
+    does, without its overhead."""
+    k = np.asarray(kraus)
+    t = k[:, :, None, :, None] * k.conj()[:, None, :, None, :]
+    return (t[0] + t[1]).reshape(k.shape[1] ** 2, -1)
+
+
 def bond_channel(tensor: MPSTensor) -> BondChannel:
     if not is_isometry(tensor, 1e-8):
         raise NotIsometricError("tensor violates sum_s V_s V_s^dag = I at 1e-8")
@@ -146,7 +154,7 @@ def project_fixed_point(evals: np.ndarray, evecs: np.ndarray,
     keep = np.abs(evals - 1.0) < 1e-9
     rho = (evecs[:, keep] @ coeffs[keep]).reshape(chi, chi)
     rho = (rho + rho.conj().T) / 2
-    tr = np.trace(rho).real
+    tr = rho.trace().real
     if abs(tr) < 1e-12:
         raise BondsimError("boundary has no weight on the fixed-point space")
     return rho / tr
@@ -166,19 +174,22 @@ def steady_state(tensor: MPSTensor, boundary: np.ndarray | None = None) -> np.nd
     chi = v.shape[1]
     if boundary is None:
         boundary = np.eye(chi) / chi
-    w, r = np.linalg.eig(BondChannel(kraus=(v[0].T, v[1].T)).transfer)
+    w, r = np.linalg.eig(transfer_matrix(v.transpose(0, 2, 1)))
     return project_fixed_point(w, r, boundary)
 
 
 def ising_terms(kraus, rho: np.ndarray) -> tuple[float, float]:
     """(<X>, <Z Z>) on the sites that the Kraus pair generates from bond
-    state rho: <X> on the first, <Z Z> on the first and the second."""
-    k0, k1 = kraus
-    # <X> = 2 Re tr(K_0 rho K_1^dag); <ZZ> from two channel steps with Z insertions.
-    ex = 2 * np.trace(k1 @ rho @ k0.conj().T).real
-    mid = k0 @ rho @ k0.conj().T - k1 @ rho @ k1.conj().T
-    ezz = (np.trace(k0 @ mid @ k0.conj().T) - np.trace(k1 @ mid @ k1.conj().T)).real
-    return ex, ezz
+    state rho: <X> on the first, <Z Z> on the first and the second.
+    ``kraus`` is the pair or its (2, chi, chi) stack."""
+    k = np.asarray(kraus)
+    kh = k.conj().swapaxes(1, 2)
+    # pair[s, t] = K_s rho K_t^dag; <X> = 2 Re tr(K_1 rho K_0^dag), <ZZ> from
+    # two channel steps with Z insertions.  One stacked product per step.
+    pair = (k @ rho)[:, None] @ kh
+    ex = 2 * pair[1, 0].trace().real
+    zz = (k @ (pair[0, 0] - pair[1, 1]) @ kh).trace(axis1=1, axis2=2)
+    return ex, (zz[0] - zz[1]).real
 
 
 def transfer_spectrum(channel: BondChannel, boundary: BoundaryState | None = None,

@@ -86,7 +86,11 @@ def default_mode(n_b: int) -> str:
 
 
 def _key(lam: float, n_b: int, mode: str) -> str:
-    return f"{lam:.6g}|{n_b}|{mode}"
+    """Table key: lambda as .6g (the bundled form) where exact, else in full."""
+    text = f"{lam:.6g}"
+    if float(text) != lam:
+        text = repr(float(lam))
+    return f"{text}|{n_b}|{mode}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,7 +119,8 @@ def get_params(lam: float, n_b: int, mode: str | None = None,
     mode = mode or default_mode(n_b)
     key = _key(lam, n_b, mode)
     for table in (_cache_table(cache_path), _bundled_table()):
-        if key in table:
+        # an entry under another lambda's key (older cache files) is a miss
+        if key in table and float(table[key]["lambda"]) == lam:
             return AnsatzParams.from_json(table[key])
     if not optimize_if_missing:
         raise BondsimError(f"no stored parameters for {key}")

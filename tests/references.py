@@ -5,7 +5,10 @@
 * the unitarity and Ising-flip covariance residuals of a layout unitary;
 * exact tomograms: one probability vector per measurement setting, built
   from the exact marginals and pair products of the tomography circuits,
-  and the package's one estimator route from a tomogram to (rho, S).
+  and the package's one estimator route from a tomogram to (rho, S);
+* the optimizer objective's arithmetic spelled term by term (np.kron
+  transfer matrix, loop-summed generator, tensordot embedding, one matrix
+  product per Kraus operator), which the package must match bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 
 from bondsim import estimation
-from bondsim.ansatz import canonical_gauge
+from bondsim.ansatz import ansatz_gate_sequence, canonical_gauge
 from bondsim.circuits import build_state_prep_circuit, tomography_settings
-from bondsim.gates import X, Z, kron_all, rx
-from bondsim.mps import entanglement_entropy
+from bondsim.gates import X, Z, kron_all, pauli_strings, rx
+from bondsim.mps import entanglement_entropy, project_fixed_point
 from bondsim.simulator import simulate_exact
 from bondsim.sweeps import prepare_point
 from bondsim.tfim import OracleResult, TFIMParams
@@ -143,3 +147,62 @@ def tomography_state(tomo, restricted: bool = False) -> tuple:
     rho = estimation.rho_from_coefficients(
         estimation.pauli_coefficients(tomo, restricted), tomo.n_b)
     return rho, float(estimation.projected_entropy(rho))
+
+
+# ---------------------------------------------------------------------------
+# the optimizer objective, term by term
+
+
+def kron_transfer(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    return np.kron(k0, k0.conj()) + np.kron(k1, k1.conj())
+
+
+def loop_full_unitary(coeffs: np.ndarray, n_b: int) -> np.ndarray:
+    """exp(i sum c_k P_k), the generator summed one term at a time."""
+    gen = np.zeros((2 ** (1 + n_b),) * 2, dtype=complex)
+    for c, p in zip(np.asarray(coeffs, dtype=float), pauli_strings(1 + n_b)[1:]):
+        gen = gen + c * p
+    return expm(1j * gen)
+
+
+def tensordot_embed(gate: np.ndarray, wires: tuple, n_wires: int) -> np.ndarray:
+    """A gate on `wires` as its tensor contraction with the register's
+    identity."""
+    n_g = len(wires)
+    full = np.eye(2 ** n_wires, dtype=complex).reshape((2,) * (2 * n_wires))
+    res = np.tensordot(gate.reshape((2,) * (2 * n_g)), full,
+                       axes=(list(range(n_g, 2 * n_g)), list(wires)))
+    return np.moveaxis(res, range(n_g), wires).reshape(2 ** n_wires, -1)
+
+
+def tensordot_ansatz_unitary(angles: np.ndarray, n_b: int) -> np.ndarray:
+    """build_ansatz_unitary's grouping, each gate placed by tensordot_embed."""
+    n_wires = 1 + n_b
+    u = dress = np.eye(2 ** n_wires, dtype=complex)
+    for gate, wires in ansatz_gate_sequence(angles, n_b):
+        if len(wires) == 1:
+            dress = tensordot_embed(gate, wires, n_wires) @ dress
+        else:
+            u = tensordot_embed(gate, wires, n_wires) @ (dress @ u)
+            dress = np.eye(2 ** n_wires, dtype=complex)
+    return u
+
+
+def pairwise_ising_terms(kraus, rho: np.ndarray) -> tuple:
+    """(<X>, <Z Z>) with one matrix product per Kraus operator."""
+    k0, k1 = kraus
+    ex = 2 * np.trace(k1 @ rho @ k0.conj().T).real
+    mid = k0 @ rho @ k0.conj().T - k1 @ rho @ k1.conj().T
+    ezz = (np.trace(k0 @ mid @ k0.conj().T)
+           - np.trace(k1 @ mid @ k1.conj().T)).real
+    return ex, ezz
+
+
+def termwise_energy(tensor, lam: float) -> float:
+    """tensor_energy from kron_transfer and pairwise_ising_terms."""
+    v = tensor.data
+    kraus = (v[0].T, v[1].T)
+    w, r = np.linalg.eig(kron_transfer(*kraus))
+    rho = project_fixed_point(w, r, np.eye(tensor.chi) / tensor.chi)
+    ex, ezz = pairwise_ising_terms(kraus, rho)
+    return -(ezz + lam * ex)

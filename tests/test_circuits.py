@@ -11,6 +11,8 @@ from bondsim.circuits import (BASIS_ROTATION, Circuit, CircuitOp,
                               tomography_settings)
 from bondsim.gates import PAULI, embed, global_phase_distance
 from bondsim.mps import BondsimError, BoundaryState
+from bondsim.noise import NoiseModel
+from bondsim.sweeps import WORKER_ENV, SweepConfig, run_entropy_sweep
 
 
 def random_site_unitary(seed=0):
@@ -157,6 +159,25 @@ def test_compile_decomposes_each_distinct_gate_once(monkeypatch):
     site = {id(op.fragment) for op in c.ops
             if op.kind == "gate" and op.wires == (0, 1)}
     assert len(site) == 1
+
+
+def test_chi4_point_decomposes_each_distinct_gate_once(monkeypatch):
+    """A chi=4 restricted ZNE point repeats 20 distinct gates over its
+    circuits; the memo decomposes each once, and a second run of the point
+    decomposes none."""
+    calls = []
+    real = circuits.decompose_to_native
+    monkeypatch.setattr(circuits, "decompose_to_native",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.delenv(WORKER_ENV, raising=False)
+    cfg = SweepConfig(lambda_grid=(1.15,), n_b=2, shots=300,
+                      noise=NoiseModel(), zne=True, postselect=True,
+                      restricted_tomography=True, bootstrap_b=100,
+                      entropy_oracle=False, seed=1)
+    first = run_entropy_sweep(cfg)
+    assert len(calls) == 20
+    assert run_entropy_sweep(cfg) == first
+    assert len(calls) == 20
 
 
 def test_compile_rejects_monolithic_three_qubit_gate():

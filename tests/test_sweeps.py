@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from bondsim import sweeps
+from bondsim import cli, sweeps
 from bondsim.ansatz import AnsatzParams
 from bondsim.mps import BondsimError
 from bondsim.noise import NoiseModel, leakage_postselect
@@ -60,6 +60,63 @@ def test_get_params_user_cache(tmp_path):
         json.dump({"0.777|1|full_unitary": stored.to_json()}, fh)
     p = get_params(0.777, 1, cache_path=path, optimize_if_missing=False)
     assert p == stored
+
+
+def test_get_params_needs_the_exact_lambda():
+    """1.2000004 shares its six digits with the bundled 1.2 but is not it."""
+    with pytest.raises(BondsimError):
+        get_params(1.2000004, 1, optimize_if_missing=False)
+
+
+def test_params_cache_keeps_lambdas_that_share_six_digits(tmp_path,
+                                                          monkeypatch):
+    path = str(tmp_path / "cache.json")
+
+    def optimize(lam, n_b, mode="ansatz", config=None):
+        return AnsatzParams(lam=lam, n_b=n_b, mode=mode,
+                            angles=tuple(np.full(15, lam)), energy=-lam), None
+
+    monkeypatch.setattr(sweeps, "variational_optimize", optimize)
+    lams = (1.2000004, 1.2000003, 1.2)
+    for lam in lams[:2]:
+        assert get_params(lam, 1, cache_path=path).lam == lam
+    with open(path) as fh:
+        assert len(json.load(fh)) == 2
+    for lam in lams:
+        assert get_params(lam, 1, cache_path=path,
+                          optimize_if_missing=False).lam == lam
+
+
+def test_every_grid_lambda_hits_the_bundled_table():
+    """The CLI's default grids, `--lambda-min/--lambda-max` grids and every
+    bundled entry are found without optimizing; a stale entry stored under
+    another lambda's key is a miss."""
+    grids = [cli.ENERGY_GRID, cli.ENTROPY_GRID_NB1]
+    for lo, hi, steps in ((0.0, 2.0, 11), (0.2, 2.0, 10)):
+        args = cli.build_parser().parse_args(
+            ["energy-sweep", "--lambda-min", str(lo), "--lambda-max", str(hi),
+             "--steps", str(steps)])
+        grids.append(cli._grid(args, ()))
+    for grid in grids:
+        for lam in grid:
+            assert get_params(lam, 1, optimize_if_missing=False).lam == lam
+    for lam in cli.ENTROPY_GRID_NB2:
+        assert get_params(lam, 2, optimize_if_missing=False).lam == lam
+    for key, entry in sweeps._bundled_table().items():
+        lam, n_b, mode = key.split("|")
+        assert get_params(float(lam), int(n_b), mode,
+                          optimize_if_missing=False).to_json() == entry
+    assert get_params(0.0, 1, optimize_if_missing=False).lam == 0.0
+
+
+def test_stale_cache_entry_under_a_shared_key_is_a_miss(tmp_path):
+    path = str(tmp_path / "cache.json")
+    stale = AnsatzParams(lam=0.7770004, n_b=1, mode="full_unitary",
+                         angles=tuple(np.zeros(15)), energy=-1.0)
+    with open(path, "w") as fh:
+        json.dump({"0.777|1|full_unitary": stale.to_json()}, fh)
+    with pytest.raises(BondsimError):
+        get_params(0.777, 1, cache_path=path, optimize_if_missing=False)
 
 
 def test_params_cache_write_keeps_other_entries(tmp_path, monkeypatch):
