@@ -27,8 +27,19 @@ or with leakage.  The leading run of identical [reset(0); gates] iterations
 measurement) maps the carrier linearly, so after the run's first reset
 _evolve applies the matrix of one iteration, raised to the count minus one,
 and goes on op by op.  That matrix is built by running the carrier basis
-through the same per-op rules, and the last two are memoized by content,
-so every tomography setting of a point reuses its base and folded burn-in.
+through the same steps, and the last two are memoized by content, so every
+tomography setting of a point reuses its base and folded burn-in.
+
+Consecutive gate ops run as one list of steps (_fuse): every U_zz, and for
+each wire each run of k rotations up to the next U_zz on that wire, as the
+product of the run followed by one depolarizing of strength 1 - (1 - p1)^k,
+on the register states where the wire is not leaked.  This is the same
+channel as the rotations applied one by one: single-wire depolarizing
+commutes with any unitary on its wire and two of them compose to that
+strength; a wire's leak flag changes only at a U_zz on it or a reset; and a
+rotation commutes past a U_zz on other wires, with everything that U_zz
+does.  So tile boundaries and dressings merge too.  A U_zz, being diagonal,
+multiplies the state by its phases elementwise.
 
 simulate_exact reads marginals, pair products, retention and the bond state
 off that distribution; sample_shots makes one seeded draw of shots from it
@@ -63,7 +74,7 @@ class SimResult:
 
     bond_rho: np.ndarray          # bond-register density matrix (system traced)
     marginals: dict               # label -> exact <outcome>
-    pair_products: dict           # (label_a, label_b) -> exact <o_a o_b>
+    pair_products: dict           # (label_a, label_b) in op order -> <o_a o_b>
     retention: float              # probability that the shot never leaked
 
 
@@ -153,6 +164,38 @@ def _find_run(ops: tuple):
     return (start, length, count) if count > 1 else None
 
 
+def _fuse(group: tuple, n: int, p1: float) -> list:
+    """The steps that evolve a state as the consecutive gate ops `group` do:
+    ("uzz", wires, None, None) for each entangler; ("rot", (w,), u, p) for
+    each run of k rotations on wire w up to the next entangler on w, with u
+    their product embedded in the register and p = 1 - (1 - p1)^k; and
+    ("unitary", wires, u, 0.0) for an op without a fragment."""
+    steps, pending = [], {}
+
+    def flush(wires):
+        for w in sorted(pending.keys() & set(wires)):
+            u, k = pending.pop(w)
+            steps.append(("rot", (w,), embed(u, (w,), n),
+                          1.0 - (1.0 - p1) ** k))
+
+    for op in group:
+        if op.fragment is None:
+            flush(range(n))
+            u = np.asarray(op.unitary, dtype=complex)
+            steps.append(("unitary", op.wires, embed(u, op.wires, n), 0.0))
+            continue
+        for name, wires, angle in op.fragment.ops:
+            wires = tuple(wires)
+            if name == "uzz":
+                flush(wires)
+                steps.append(("uzz", wires, None, None))
+            else:
+                u, k = pending.get(wires[0], (np.eye(2), 0))
+                pending[wires[0]] = (native_gate(name, angle) @ u, k + 1)
+    flush(range(n))
+    return steps
+
+
 def _op_key(op: CircuitOp) -> tuple:
     """An op's content as a hashable key: ops with equal keys evolve a
     state alike."""
@@ -225,43 +268,52 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
                           lambda r: depolarize(r, (b,), eps, n))
         return rho
 
-    lifted: dict = {}
-    uzz_leak: dict = {}
     kraus = [[embed(k, (w,), n) for k in _RESET_KRAUS] for w in range(n)]
+    zz_phase: dict = {}
+    uzz_leak: dict = {}
 
-    def native(rho, name, wires, angle):
-        key = (name, wires, angle)
-        if key not in lifted:
-            lifted[key] = embed(native_gate(name, angle), wires, n)
-        u = lifted[key]
+    def uzz(rho, wires):
+        if wires not in zz_phase:
+            d = np.diag(embed(native_gate("uzz"), wires, n))
+            zz_phase[wires] = d[:, None] * d.conj()[None, :]
         held = flagged[:, list(wires)]
-        p = noise.p2 if name == "uzz" else noise.p1
         rho = _on(rho, ~held.any(axis=1),
-                  lambda r: depolarize(u @ r @ u.conj().T, wires, p, n))
-        if name == "uzz":
-            for a, b in ((0, 1), (1, 0)):
-                rho = _on(rho, held[:, a] & ~held[:, b],
-                          lambda r: depolarize(r, (wires[b],), 1.0, n))
-            if n_reg > 1:
-                if wires not in uzz_leak:
-                    uzz_leak[wires] = leak(wires[1]) @ leak(wires[0])
-                rho = shift(uzz_leak[wires], rho)
+                  lambda r: depolarize(r * zz_phase[wires], wires, noise.p2, n))
+        for a, b in ((0, 1), (1, 0)):
+            rho = _on(rho, held[:, a] & ~held[:, b],
+                      lambda r: depolarize(r, (wires[b],), 1.0, n))
+        if n_reg > 1:
+            if wires not in uzz_leak:
+                uzz_leak[wires] = leak(wires[1]) @ leak(wires[0])
+            rho = shift(uzz_leak[wires], rho)
         return rho
 
-    def channel(rho, op):
-        """A gate or a reset: the ops that record no outcome."""
-        if op.kind == "reset":
-            w = op.wires[0]
-            rho = sum(k @ rho @ k.conj().T for k in kraus[w])
-            if n_reg > 1:
-                rho = shift(clear(w), rho)
-            return spectator(rho, noise.eps_reset) if w == 0 else rho
-        if op.fragment is None:
-            u = embed(np.asarray(op.unitary, dtype=complex), op.wires, n)
+    def apply(rho, step):
+        """One step of a _fuse list."""
+        kind, wires, u, p = step
+        if kind == "uzz":
+            return uzz(rho, wires)
+        if kind == "unitary":
             return u @ rho @ u.conj().T
-        for name, wires, angle in op.fragment.ops:
-            rho = native(rho, name, tuple(wires), angle)
-        return rho
+        return _on(rho, ~flagged[:, wires[0]],
+                   lambda r: depolarize(u @ r @ u.conj().T, wires, p, n))
+
+    fused: dict = {}
+
+    def gates(rho, group):
+        """A run of consecutive gate ops, fused once per tuple of their
+        fragments."""
+        key = tuple((id(op.fragment), id(op.unitary), op.wires)
+                    for op in group)
+        if key not in fused:
+            fused[key] = _fuse(group, n, noise.p1)
+        return functools.reduce(apply, fused[key], rho)
+
+    def reset_op(rho, w):
+        rho = sum(k @ rho @ k.conj().T for k in kraus[w])
+        if n_reg > 1:
+            rho = shift(clear(w), rho)
+        return spectator(rho, noise.eps_reset) if w == 0 else rho
 
     # The carrier: the bond matrices of the register states whose wire-0
     # flag is clear, flattened (see the module docstring).
@@ -286,8 +338,14 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
     i = 0
     while i < len(ops):
         op = ops[i]
-        if op.kind in ("gate", "reset"):
-            rho = channel(rho, op)
+        if op.kind == "gate":
+            end = i + 1
+            while end < len(ops) and ops[end].kind == "gate":
+                end += 1
+            rho = gates(rho, ops[i:end])
+            i = end - 1
+        elif op.kind == "reset":
+            rho = reset_op(rho, op.wires[0])
         elif op.kind == "measure":
             w = op.wires[0]
             pauli = embed(PAULI[op.basis], op.wires, n)
@@ -314,11 +372,10 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
             # its last reset, is count - 1 iterations of [gates; reset]: one
             # matrix power on the carrier.
             start, length, count = run
-            steps = ops[start + 1:start + length] + (ops[start],)
+            block = ops[start + 1:start + length]
             m = _block_channel(
-                (n, noise, tuple(map(_op_key, steps))),
-                lambda vec: carrier(functools.reduce(channel, steps,
-                                                     uncarrier(vec))),
+                (n, noise, tuple(map(_op_key, block + (op,)))),
+                lambda vec: carrier(reset_op(gates(uncarrier(vec), block), 0)),
                 len(regs) * half * half)
             rho = uncarrier(carrier(rho) @ np.linalg.matrix_power(m, count - 1))
             i += (count - 1) * length
@@ -353,7 +410,7 @@ def simulate_exact(circuit: Circuit, noise: NoiseModel | None = None) -> SimResu
         bond_rho=dist.bond_rho,
         marginals={lab: mean(neg[:, i]) for lab, i in col.items()},
         pair_products={(a, b): mean(neg[:, col[a]] ^ neg[:, col[b]])
-                       for a, b in combinations(sorted(col), 2)},
+                       for a, b in combinations(dist.labels, 2)},
         retention=float(1.0 - dist.probs[dist.leaked].sum()))
 
 

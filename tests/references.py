@@ -6,6 +6,8 @@
 * exact tomograms: one probability vector per measurement setting, built
   from the exact marginals and pair products of the tomography circuits,
   and the package's one estimator route from a tomogram to (rho, S);
+* the noisy engine's rules applied one native op at a time, to a dict of
+  branches, with no fusion, no matrix power and no leak-register stack;
 * the optimizer objective's arithmetic spelled term by term (np.kron
   transfer matrix, loop-summed generator, tensordot embedding, one matrix
   product per Kraus operator), which the package must match bit for bit.
@@ -23,8 +25,10 @@ from scipy.linalg import expm
 from bondsim import estimation
 from bondsim.ansatz import ansatz_gate_sequence, canonical_gauge
 from bondsim.circuits import build_state_prep_circuit, tomography_settings
-from bondsim.gates import X, Z, kron_all, pauli_strings, rx
+from bondsim.gates import (PAULI, X, Z, embed, kron_all, native_gate,
+                           pauli_strings, rx)
 from bondsim.mps import entanglement_entropy, project_fixed_point
+from bondsim.noise import depolarize
 from bondsim.simulator import simulate_exact
 from bondsim.sweeps import prepare_point
 from bondsim.tfim import OracleResult, TFIMParams
@@ -147,6 +151,94 @@ def tomography_state(tomo, restricted: bool = False) -> tuple:
     rho = estimation.rho_from_coefficients(
         estimation.pauli_coefficients(tomo, restricted), tomo.n_b)
     return rho, float(estimation.projected_entropy(rho))
+
+
+# ---------------------------------------------------------------------------
+# the noisy engine, op by op
+
+
+def op_by_op_distribution(circuit, noise) -> tuple:
+    """({(outcomes, ever leaked): probability}, bond state at the leak check)
+    of a compiled circuit.  Each branch is keyed (outcomes, ever leaked,
+    bitmask of the wires leaked now); every native rotation is applied with
+    its own p1 depolarizing to the branches where its wire is not leaked."""
+    n = circuit.n_wires
+    branches = {((), False, 0): np.zeros((2 ** n,) * 2, dtype=complex)}
+    branches[(), False, 0][0, 0] = 1.0
+    snapshot = None
+
+    def add(out, key, rho):
+        out[key] = out.get(key, 0) + rho
+
+    def leaked(mask, w):
+        return mask >> w & 1
+
+    def spectator(eps):
+        for (outs, ever, mask), rho in branches.items():
+            for b in range(1, n):
+                if not leaked(mask, b):
+                    rho = depolarize(rho, (b,), eps, n)
+            branches[outs, ever, mask] = rho
+
+    def native(name, wires, angle):
+        nonlocal branches
+        u = embed(native_gate(name, angle), wires, n)
+        out = {}
+        for (outs, ever, mask), rho in branches.items():
+            held = [leaked(mask, w) for w in wires]
+            if not any(held):
+                p = noise.p2 if name == "uzz" else noise.p1
+                rho = depolarize(u @ rho @ u.conj().T, wires, p, n)
+            elif name == "uzz" and sum(held) == 1:
+                rho = depolarize(rho, (wires[held.index(0)],), 1.0, n)
+            keys = [((outs, ever, mask), rho)]
+            if name == "uzz" and noise.p_leak > 0.0:
+                for w in wires:
+                    keys = [kr for (o, e, m), r in keys for kr in (
+                        ((o, e, m), (1 - noise.p_leak) * r),
+                        ((o, True, m | 1 << w), noise.p_leak * r))]
+            for key, r in keys:
+                add(out, key, r)
+        branches = out
+
+    for op in circuit.ops:
+        w = op.wires[0]
+        if op.kind == "gate":
+            for name, wires, angle in op.fragment.ops:
+                native(name, tuple(wires), angle)
+        elif op.kind == "reset":
+            ks = [embed(k, (w,), n) for k in (np.array([[1, 0], [0, 0]]),
+                                              np.array([[0, 1], [0, 0]]))]
+            out = {}
+            for (outs, ever, mask), rho in branches.items():
+                add(out, (outs, ever, mask & ~(1 << w)),
+                    sum(k @ rho @ k.conj().T for k in ks))
+            branches = out
+            if w == 0:
+                spectator(noise.eps_reset)
+        elif op.kind == "measure":
+            pauli = embed(PAULI[op.basis], (w,), n)
+            out = {}
+            for (outs, ever, mask), rho in branches.items():
+                parts = [(np.eye(2 ** n) + s * pauli) / 2 for s in (1, -1)]
+                parts = [q @ rho @ q for q in parts]
+                if leaked(mask, w):
+                    parts = [(parts[0] + parts[1]) / 2] * 2
+                for s, r in zip((1, -1), parts):
+                    add(out, (outs + (s,), ever, mask), r)
+            branches = out
+            if w == 0:
+                spectator(noise.eps_meas)
+        else:
+            total = sum(branches.values())
+            snapshot = np.trace(total.reshape((2, 2 ** (n - 1)) * 2),
+                                axis1=0, axis2=2)
+            branches = {(outs + (-1 if ever else 1,), ever, mask): rho
+                        for (outs, ever, mask), rho in branches.items()}
+    probs: dict = {}
+    for (outs, ever, _), rho in branches.items():
+        probs[outs, ever] = probs.get((outs, ever), 0.0) + np.trace(rho).real
+    return probs, snapshot
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,21 @@ def test_depolarize_composes(p, q):
     assert np.linalg.norm(twice - once) < 1e-12
 
 
+def test_depolarize_commutes_with_a_unitary_on_its_wire():
+    """The premise of the simulator's rotation fusion: a rotation run and
+    its k p-hits equal the run's product and one hit of 1 - (1-p)^k, here
+    on a batch of states."""
+    rho = np.stack([random_density(3, s) for s in range(4)])
+    us = [embed(unitary_group.rvs(2, random_state=s), (1,), 3)
+          for s in range(3)]
+    p, hits = 0.07, rho
+    for u in us:
+        hits = depolarize(u @ hits @ u.conj().T, (1,), p, 3)
+    prod = us[2] @ us[1] @ us[0]
+    once = depolarize(prod @ rho @ prod.conj().T, (1,), 1 - (1 - p) ** 3, 3)
+    assert np.abs(hits - once).max() < 1e-12
+
+
 def test_depolarize_preserves_trace_and_hermiticity():
     rho = random_density(3, 5)
     out = depolarize(rho, (0, 2), 0.3, 3)

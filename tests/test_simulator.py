@@ -3,6 +3,7 @@ bond-channel formalism they are supposed to dilate and against closed forms
 of the leak rules."""
 
 from collections import OrderedDict
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bondsim.noise import NoiseModel, fold_circuit
 from bondsim.simulator import sample_shots, simulate_exact
 from bondsim.sweeps import (SweepConfig, get_params, prepare_point,
                             run_entropy_sweep)
+from references import op_by_op_distribution
 
 # a fixed, mildly entangling chi=2 site unitary (no optimization involved)
 COEFFS = 0.35 * np.cos(np.arange(1, 16) * 1.7)
@@ -59,6 +61,19 @@ def test_exact_marginals_match_channel_expectations():
     assert np.isclose(res.marginals[f"m{J}:Z"], ez, atol=1e-12)
     assert np.isclose(res.pair_products[(f"m{J-1}:Z", f"m{J}:Z")], ezz,
                       atol=1e-12)
+
+
+def test_pair_products_keyed_in_op_order_past_nine_iterations():
+    """At j = 10 the labels m9:Z, m10:Z sort the other way as strings; the
+    pair is still keyed (m9:Z, m10:Z), as an energy estimate indexes it."""
+    j = 10
+    c = build_state_prep_circuit(SITE_U, None, j, purpose="energy")
+    res = simulate_exact(c)
+    assert list(res.pair_products) == list(combinations(c.labels(), 2))
+    ch = mps.bond_channel(TENSOR)
+    rho = mps._iterate(ch, mps.BoundaryState(np.array([1.0, 0.0])), j - 2)
+    _, ezz = mps.ising_terms(ch.kraus, rho)
+    assert np.isclose(res.pair_products[("m9:Z", "m10:Z")], ezz, atol=1e-12)
 
 
 def test_exact_noiseless_retention_is_one(exact_tomo):
@@ -230,7 +245,7 @@ def test_leaked_wire_records_random_outcomes():
     res = simulate_exact(c, LEAK_ONLY)
     assert np.isclose(res.marginals["m"], 1 - Q, atol=1e-12)
     # leak-free +1 +1, only wire 0 leaked -1 +1, wire 1 leaked averages 0
-    assert np.isclose(res.pair_products[("leak", "m")], (1 - Q) * (1 - 2 * Q),
+    assert np.isclose(res.pair_products[("m", "leak")], (1 - Q) * (1 - 2 * Q),
                       atol=1e-12)
 
 
@@ -396,3 +411,47 @@ def test_power_step_keeps_the_trace_check(monkeypatch):
     with pytest.raises(BondsimError, match="state lost trace"):
         simulate_exact(c)
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# each wire's rotations between entanglers as one fused channel
+
+HEAVY = NoiseModel(p2=0.05, p1=0.02, p_leak=0.03, eps_meas=0.02,
+                   eps_reset=0.01)
+# Runs of rx/ry/rz on every wire before, between and after U_zz; the second
+# op's leading rotations fuse with the first op's trailing ones.
+FRAG_A = NativeCircuitFragment(n_wires=3, ops=[
+    ("rx", (0,), 0.3), ("ry", (0,), -1.1), ("rz", (1,), 0.7),
+    ("rx", (2,), 2.1), ("uzz", (0, 1), None), ("rz", (0,), 0.4),
+    ("ry", (1,), 1.3), ("ry", (2,), -0.6), ("rz", (2,), 0.9),
+    ("uzz", (1, 2), None), ("rx", (1,), -0.8), ("rz", (0,), 1.7)])
+FRAG_B = NativeCircuitFragment(n_wires=3, ops=[
+    ("rz", (2,), 0.5), ("rx", (0,), -0.2), ("ry", (1,), 0.6),
+    ("uzz", (0, 2), None), ("ry", (0,), 2.4), ("rz", (1,), -1.4),
+    ("rx", (2,), 1.2), ("uzz", (0, 1), None), ("rz", (2,), -0.3),
+    ("rx", (1,), 0.1)])
+
+
+def _fused_test_circuit() -> Circuit:
+    """Three repeated iterations (the power step), then op by op: a
+    mid-circuit measurement, the gates again, the leak check and two bond
+    measurements."""
+    a, b = (gate(f.matrix(), (0, 1, 2), fragment=f) for f in (FRAG_A, FRAG_B))
+    return Circuit(n_wires=3, ops=(reset(0), a, b) * 3 + (
+        measure(0, "X", "m"), reset(0), a, b, leak_check((0, 1, 2), "leak"),
+        measure(1, "Y", "b1"), measure(2, "Z", "b2")))
+
+
+def test_fused_rotations_match_op_by_op_reference():
+    c = _fused_test_circuit()
+    # 22 native ops: 4 U_zz and 18 rotations, which fuse into 10 steps
+    steps = simulator._fuse(c.ops[1:3], 3, HEAVY.p1)
+    assert [kind for kind, *_ in steps].count("rot") == 10
+    for noise in (HEAVY, NoiseModel(p_leak=0.0), NoiseModel.none()):
+        dist = simulator._evolve(c, noise)
+        probs, bond_rho = op_by_op_distribution(c, noise)
+        got = {(tuple(o), bool(l)): p for o, l, p in
+               zip(dist.outcomes, dist.leaked, dist.probs)}
+        assert got.keys() >= probs.keys()
+        assert max(abs(got[k] - probs.get(k, 0.0)) for k in got) < 1e-12
+        assert np.abs(dist.bond_rho - bond_rho).max() < 1e-12
