@@ -24,10 +24,19 @@ The tiled layout is spelled once, in ansatz_gate_sequence, and
 build_ansatz_unitary is its product.  tensor_energy, the optimizer's
 objective, is the package's one TFIM energy density: mps.ising_terms at
 mps.steady_state.
+
+variational_optimize runs L-BFGS-B on the exact gradient of that energy
+(energy_and_gradient).  mps.ising_energy_gradient gives dE/d conj(K) at the
+fixed point for the cost of one small linear solve; the chain rule then goes
+through the Hermitian generator's eigendecomposition (full_unitary) or the
+prefix products of ansatz_gate_sequence (ansatz).  One evaluation with its
+gradient costs two to three times a value alone, and a start needs tens to
+hundreds of them where a derivative-free search needed 10^4 to 10^5 values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +44,8 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .gates import CZ, H, I2, embed, pauli_strings, rx, ry, rz
-from .mps import BondsimError, BoundaryState, MPSTensor, ising_terms, steady_state
+from .mps import (BondsimError, BoundaryState, MPSTensor, ising_energy_gradient,
+                  ising_terms, steady_state)
 
 __all__ = [
     "AnsatzParams",
@@ -47,6 +57,7 @@ __all__ = [
     "build_ansatz_unitary",
     "build_full_unitary",
     "canonical_gauge",
+    "energy_and_gradient",
     "extract_isometry",
     "gxy_gate",
     "tensor_energy",
@@ -169,6 +180,78 @@ def tensor_energy(tensor: MPSTensor, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# gradient: G = dE/d conj(U) from mps.ising_energy_gradient, then the chain
+# rule dE/dx_k = 2 Re tr(G^dag dU/dx_k) through each layout
+
+
+def _unitary_gradient(tensor: MPSTensor, lam: float) -> np.ndarray:
+    """dE/d conj(U): the Kraus stack K_s = V_s^T is U's first chi columns,
+    split into two chi-row blocks, so the other columns get zeros."""
+    k = tensor.data.transpose(0, 2, 1)
+    chi = k.shape[1]
+    g = np.zeros((2 * chi, 2 * chi), dtype=complex)
+    g[:, :chi] = ising_energy_gradient(k, lam).reshape(2 * chi, chi)
+    return g
+
+
+def _full_unitary_gradient(coeffs: np.ndarray, n_b: int,
+                           g: np.ndarray) -> np.ndarray:
+    """Chain rule through U = exp(i H), H = sum_k c_k P_k.  With
+    H = W diag(w) W^dag, dU = W (F o W^dag dH W) W^dag, where F holds the
+    divided differences of e^{ix} on w (Daleckii-Krein), so
+    dE/dc_k = 2 Re tr(P_k D) with D = W (F o W^dag G^dag W) W^dag."""
+    basis = pauli_strings(1 + n_b)[1:]
+    w, v = np.linalg.eigh(np.einsum("k,kij->ij", coeffs, basis))
+    # (e^{ia} - e^{ib}) / (a - b) = i e^{i(a+b)/2} sinc((a-b)/2), which is
+    # also right on the diagonal
+    mean, half = (w[:, None] + w) / 2, (w[:, None] - w) / 2
+    f = 1j * np.exp(1j * mean) * np.sinc(half / np.pi)
+    dh = v @ (f * (v.conj().T @ g.conj().T @ v)) @ v.conj().T
+    return 2 * (basis.reshape(len(basis), -1) @ dh.T.ravel()).real
+
+
+@functools.lru_cache(maxsize=None)
+def _angle_generators(n_b: int) -> tuple:
+    """For each angle of the tiled layout: the index of its gate in
+    ``ansatz_gate_sequence`` and the embedded Hermitian generator Gen with
+    d gate/d angle = -(i/2) Gen gate.
+
+    Every angle enters its gate through one Rx or Ry between fixed
+    unitaries, and R(t + pi) = -i P R(t) for R(t) = exp(-i t P/2), so
+    Gen = i gate(pi) gate(0)^dag at any value of the other angles; it is
+    read off the sequence, the layout's only spelling.
+    """
+    n = ansatz_num_params(n_b)
+    base = ansatz_gate_sequence(np.zeros(n), n_b)
+    index, gens = [], []
+    for i in range(n):
+        shifted = ansatz_gate_sequence(np.pi * np.eye(n)[i], n_b)
+        (m,) = [m for m, (g, _) in enumerate(shifted)
+                if not np.array_equal(g, base[m][0])]
+        g0, wires = base[m]
+        index.append(m)
+        gens.append(embed(1j * shifted[m][0] @ g0.conj().T, wires, 1 + n_b))
+    return np.array(index), np.stack(gens)
+
+
+def _ansatz_gradient(angles: np.ndarray, n_b: int, u: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """Chain rule through the tiled layout U = E_n ... E_1.  With the prefix
+    P_m = E_m ... E_1, dU/dt = -(i/2) U P_m^dag Gen P_m for an angle of
+    gate m, so dE/dt = Im tr(P_m G^dag U P_m^dag Gen)."""
+    index, gens = _angle_generators(n_b)
+    n_wires = 1 + n_b
+    prefix = []
+    p = np.eye(2 ** n_wires, dtype=complex)
+    for gate, wires in ansatz_gate_sequence(angles, n_b):
+        p = embed(gate, wires, n_wires) @ p
+        prefix.append(p)
+    prefix = np.stack(prefix)
+    r = prefix @ (g.conj().T @ u) @ prefix.conj().swapaxes(1, 2)
+    return np.einsum("kij,kji->k", r[index], gens).imag
+
+
+# ---------------------------------------------------------------------------
 # optimization
 
 
@@ -213,6 +296,10 @@ class AnsatzParams:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Seeded starts for ``variational_optimize``.  ``maxiter`` counts
+    L-BFGS-B iterations per start; the polish of the best start gets
+    4 * maxiter."""
+
     restarts: int = 6
     seed: int = 20240901
     maxiter: int = 6000
@@ -232,6 +319,32 @@ def _num_params(n_b: int, mode: str) -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def energy_and_gradient(x: np.ndarray, lam: float, n_b: int,
+                        mode: str) -> tuple[float, np.ndarray]:
+    """The optimizer's objective: ``tensor_energy`` of the layout's tensor
+    at parameters x, and its exact gradient in x.
+
+    A ``BondsimError``, a singular adjoint solve (a degenerate fixed point,
+    e.g. U = I) or a non-finite gradient give the penalty 10.0 with a zero
+    gradient.
+    """
+    build = build_ansatz_unitary if mode == "ansatz" else build_full_unitary
+    try:
+        u = build(x, n_b)
+        tensor = extract_isometry(u, n_b)
+        value = tensor_energy(tensor, lam)
+        g = _unitary_gradient(tensor, lam)
+    except (BondsimError, np.linalg.LinAlgError):
+        return 10.0, np.zeros(len(x))
+    if mode == "ansatz":
+        grad = _ansatz_gradient(x, n_b, u, g)
+    else:
+        grad = _full_unitary_gradient(x, n_b, g)
+    if not np.all(np.isfinite(grad)):
+        return 10.0, np.zeros(len(x))
+    return value, grad
+
+
 def variational_optimize(
     lam: float,
     n_b: int,
@@ -240,37 +353,31 @@ def variational_optimize(
 ) -> tuple[AnsatzParams, float]:
     """Minimize the steady-state TFIM energy density over layout angles.
 
-    Powell restarts from seeded Gaussian initializations (standard deviation
-    1.2), then a Nelder-Mead polish of the best candidate.  Fully
-    deterministic for a fixed config.
+    L-BFGS-B on ``energy_and_gradient`` (the exact gradient) from seeded
+    Gaussian initializations (standard deviation 1.2), then a second
+    L-BFGS-B run from the best candidate with four times the iteration
+    budget.  Fully deterministic for a fixed config.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     cfg = config or OptimizerConfig()
     n = _num_params(n_b, mode)
-    build = build_ansatz_unitary if mode == "ansatz" else build_full_unitary
 
-    def objective(p: np.ndarray) -> float:
-        try:
-            return tensor_energy(extract_isometry(build(p, n_b), n_b), lam)
-        except BondsimError:
-            return 10.0
+    def run(x0: np.ndarray, maxiter: int):
+        return minimize(energy_and_gradient, x0, args=(lam, n_b, mode),
+                        jac=True, method="L-BFGS-B",
+                        options={"maxiter": maxiter, "ftol": 0.0,
+                                 "gtol": 1e-12})
 
     rng = np.random.default_rng(cfg.seed)
     starts = [rng.normal(scale=1.2, size=n) for _ in range(cfg.restarts)]
     best_val, best_x = np.inf, None
     with np.errstate(all="ignore"):
         for x0 in starts:
-            res = minimize(
-                objective, x0, method="Powell",
-                options={"maxiter": cfg.maxiter, "xtol": 1e-12, "ftol": 1e-14},
-            )
+            res = run(x0, cfg.maxiter)
             if res.fun < best_val:
                 best_val, best_x = res.fun, res.x
-        res = minimize(
-            objective, best_x, method="Nelder-Mead",
-            options={"maxiter": 4 * cfg.maxiter, "xatol": 1e-13, "fatol": 1e-16},
-        )
+        res = run(best_x, 4 * cfg.maxiter)
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
     params = AnsatzParams(

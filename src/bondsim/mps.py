@@ -1,5 +1,6 @@
 """Uniform-MPS linear algebra: isometries, bond channels, transfer spectra,
-fixed points, the TFIM energy terms and half-chain entanglement entropy.
+fixed points, the TFIM energy terms and their gradient, and half-chain
+entanglement entropy.
 
 Everything is closed form: the fixed point is a spectral projection, the
 slowest left eigen-operator is a row of the inverse of the transfer matrix's
@@ -190,6 +191,47 @@ def ising_terms(kraus, rho: np.ndarray) -> tuple[float, float]:
     ex = 2 * pair[1, 0].trace().real
     zz = (k @ (pair[0, 0] - pair[1, 1]) @ kh).trace(axis1=1, axis2=2)
     return ex, (zz[0] - zz[1]).real
+
+
+def ising_energy_gradient(kraus, lam: float) -> np.ndarray:
+    """Gradient of the fixed-point energy density E = -(<ZZ> + lam <X>) of a
+    trace-preserving Kraus pair (or its (2, chi, chi) stack) with respect to
+    the conjugate Kraus stack: G_s = dE/d conj(K_s), so that
+    dE = 2 Re sum_s tr(G_s^dag dK_s) along any variation that keeps
+    sum_s K_s^dag K_s = I.
+
+    Stack the Kraus operators into one 2chi x chi column block C.  Then
+    E = tr(rho O) at the fixed point rho, with O = -C^dag W C,
+    W = Z x Q + lam X x I on (site, bond) and Q = C^dag (Z x I) C, the bond
+    operator that reads <Z> on the next site.  The left fixed point of the
+    channel is I, so the fixed point's response is one linear solve
+    (Vanderstraeten, Haegeman & Verstraete, SciPost Phys. Lect. Notes 7
+    (2019)), (1 - T^dag) Y = O - E I, and with
+    M = K_0 rho K_0^dag - K_1 rho K_1^dag and z = (+1, -1)
+
+        G_s = Y K_s rho - (W C)_s rho - z_s K_s M
+            = Y K_s rho - z_s Q K_s rho - lam K_{1-s} rho - z_s K_s M.
+
+    rho and Y come from one bordered matrix A = 1 - T + |I/chi><I|:
+    A rho = I/chi, and A^dag Y = O solves the equation above (its trace is
+    chi E).  Y is fixed up to a multiple of I, which adds c K_s rho to G_s
+    and nothing to dE.  A is singular when eigenvalue 1 of T is degenerate;
+    numpy then raises ``LinAlgError`` or returns non-finite entries.
+    """
+    k = np.asarray(kraus)
+    chi = k.shape[1]
+    eye = np.eye(chi).ravel()
+    a = np.eye(chi * chi) - transfer_matrix(k) + np.outer(eye / chi, eye)
+    rho = np.linalg.solve(a, eye / chi).reshape(chi, chi)
+    c = k.reshape(2 * chi, chi)
+    zk = k * np.array([1.0, -1.0])[:, None, None]
+    q = c.conj().T @ zk.reshape(2 * chi, chi)
+    wc = q @ zk + lam * k[::-1]
+    o = -c.conj().T @ wc.reshape(2 * chi, chi)
+    y = np.linalg.solve(a.conj().T, o.ravel()).reshape(chi, chi)
+    kr = k @ rho
+    m = (zk @ kr.conj().swapaxes(1, 2)).sum(axis=0)
+    return y @ kr - wc @ rho - zk @ m
 
 
 def transfer_spectrum(channel: BondChannel, boundary: BoundaryState | None = None,

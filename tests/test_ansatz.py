@@ -6,9 +6,9 @@ from bondsim import mps
 from bondsim.ansatz import (AnsatzParams, OptimizerConfig, ansatz_gate_sequence,
                             ansatz_num_params, boundary_prep,
                             build_ansatz_unitary, build_full_unitary,
-                            canonical_gauge, extract_isometry,
-                            full_unitary_num_params, gxy_gate, tensor_energy,
-                            variational_optimize)
+                            canonical_gauge, energy_and_gradient,
+                            extract_isometry, full_unitary_num_params,
+                            gxy_gate, tensor_energy, variational_optimize)
 from bondsim.gates import X, Y, Z, embed, global_phase_distance, kron_all
 from bondsim.mps import steady_state
 from references import flip_covariance_error, unitarity_error
@@ -141,6 +141,57 @@ def test_optimize_deterministic():
     p2, e2 = variational_optimize(1.3, 1, mode="full_unitary", config=cfg)
     assert p1.angles == p2.angles
     assert e1 == e2
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.3, 100.0])
+@pytest.mark.parametrize("n_b", [1, 2])
+@pytest.mark.parametrize("mode", ["full_unitary", "ansatz"])
+def test_energy_gradient_matches_central_differences(mode, n_b, lam):
+    n = (full_unitary_num_params if mode == "full_unitary"
+         else ansatz_num_params)(n_b)
+    x = np.random.default_rng(11 + n_b).normal(scale=1.2, size=n)
+    value, grad = energy_and_gradient(x, lam, n_b, mode)
+    assert value == tensor_energy(extract_isometry(
+        build_full_unitary(x, n_b) if mode == "full_unitary"
+        else build_ansatz_unitary(x, n_b), n_b), lam)
+    h = 1e-5
+    central = np.array([
+        (energy_and_gradient(x + h * e, lam, n_b, mode)[0]
+         - energy_and_gradient(x - h * e, lam, n_b, mode)[0]) / (2 * h)
+        for e in np.eye(n)])
+    assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
+
+
+def test_degenerate_fixed_point_gets_the_penalty():
+    """U = I: K_0 = I and K_1 = 0, so every state is fixed and the adjoint
+    solve is singular.  The objective returns the penalty, not an error."""
+    k = extract_isometry(build_full_unitary(np.zeros(15), 1), 1).data
+    with pytest.raises(np.linalg.LinAlgError):
+        mps.ising_energy_gradient(k.transpose(0, 2, 1), 1.0)
+    value, grad = energy_and_gradient(np.zeros(15), 1.0, 1, "full_unitary")
+    assert value == 10.0
+    assert np.array_equal(grad, np.zeros(15))
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.0])
+def test_optimizer_reaches_exact_on_the_benchmark_budget(lam):
+    """One start with 20 iterations (and an 80-iteration polish) lands
+    within 1e-4 J/site of the exact energy density, in both phases."""
+    from bondsim.tfim import TFIMParams, exact_energy_density
+    _, e = variational_optimize(lam, 1, "full_unitary",
+                                OptimizerConfig(restarts=1, maxiter=20))
+    e_exact = exact_energy_density(TFIMParams(lam)).energy_density
+    assert e_exact - 1e-9 <= e <= e_exact + 1e-4
+
+
+@pytest.mark.parametrize("lam, n_b", [(0.2, 1), (1.15, 1), (1.15, 2)])
+def test_reoptimizing_bundled_points_reaches_their_energy(lam, n_b):
+    """The default config, from its seeded starts, gets at least as low as
+    the stored optimum (the table is not rewritten)."""
+    from bondsim.sweeps import get_params
+    stored = get_params(lam, n_b, optimize_if_missing=False)
+    _, e = variational_optimize(lam, n_b, stored.mode)
+    assert e <= stored.energy + 1e-12
 
 
 @pytest.mark.parametrize("field", ["restarts", "maxiter"])
