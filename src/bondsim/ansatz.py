@@ -29,9 +29,10 @@ variational_optimize runs L-BFGS-B on the exact gradient of that energy
 (energy_and_gradient).  mps.ising_energy_gradient gives dE/d conj(K) at the
 fixed point for the cost of one small linear solve; the chain rule then goes
 through the Hermitian generator's eigendecomposition (full_unitary) or the
-prefix products of ansatz_gate_sequence (ansatz).  One evaluation with its
-gradient costs two to three times a value alone, and a start needs tens to
-hundreds of them where a derivative-free search needed 10^4 to 10^5 values.
+prefix products of ansatz_gate_sequence, which _ansatz_products builds in
+the same pass as U (ansatz).  One evaluation with its gradient costs two to
+three times a value alone, and a start needs tens to hundreds of them where
+a derivative-free search needed 10^4 to 10^5 values.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .mps import (BondsimError, BoundaryState, MPSTensor, ising_energy_gradient,
 
 __all__ = [
     "AnsatzParams",
-    "BoundaryPrep",
     "boundary_prep",
     "OptimizerConfig",
     "ansatz_gate_sequence",
@@ -124,20 +124,32 @@ def ansatz_gate_sequence(angles: np.ndarray, n_b: int) -> list:
     return seq
 
 
-def build_ansatz_unitary(angles: np.ndarray, n_b: int) -> np.ndarray:
-    """Product of ``ansatz_gate_sequence``.  Each layer's Rx dressing is
-    multiplied out before it is applied, the grouping the bundled chi=4
-    parameters were optimized with, so their energies reproduce bit for
-    bit."""
+def _ansatz_products(angles: np.ndarray, n_b: int) -> tuple:
+    """(U, prefixes) of the tiled layout from one pass over
+    ``ansatz_gate_sequence``, each gate embedded once.  U multiplies each
+    layer's Rx dressing out before applying it, the grouping the bundled
+    chi=4 parameters were optimized with, so their energies reproduce bit
+    for bit.  prefixes[m] = E_m ... E_1, one gate at a time."""
     n_wires = 1 + n_b
-    u = dress = np.eye(2 ** n_wires, dtype=complex)
+    eye = np.eye(2 ** n_wires, dtype=complex)
+    u = dress = p = eye
+    prefix = []
     for gate, wires in ansatz_gate_sequence(angles, n_b):
+        e = embed(gate, wires, n_wires)
+        p = e @ p
+        prefix.append(p)
         if len(wires) == 1:
-            dress = embed(gate, wires, n_wires) @ dress
+            dress = e @ dress
         else:
-            u = embed(gate, wires, n_wires) @ (dress @ u)
-            dress = np.eye(2 ** n_wires, dtype=complex)
-    return u
+            u = e @ (dress @ u)
+            dress = eye
+    return u, np.stack(prefix)
+
+
+def build_ansatz_unitary(angles: np.ndarray, n_b: int) -> np.ndarray:
+    """Product of ``ansatz_gate_sequence``, in the bundled grouping (see
+    ``_ansatz_products``)."""
+    return _ansatz_products(angles, n_b)[0]
 
 
 def full_unitary_num_params(n_b: int) -> int:
@@ -234,19 +246,12 @@ def _angle_generators(n_b: int) -> tuple:
     return np.array(index), np.stack(gens)
 
 
-def _ansatz_gradient(angles: np.ndarray, n_b: int, u: np.ndarray,
+def _ansatz_gradient(n_b: int, prefix: np.ndarray, u: np.ndarray,
                      g: np.ndarray) -> np.ndarray:
     """Chain rule through the tiled layout U = E_n ... E_1.  With the prefix
-    P_m = E_m ... E_1, dU/dt = -(i/2) U P_m^dag Gen P_m for an angle of
-    gate m, so dE/dt = Im tr(P_m G^dag U P_m^dag Gen)."""
+    P_m = E_m ... E_1 (``_ansatz_products``), dU/dt = -(i/2) U P_m^dag Gen
+    P_m for an angle of gate m, so dE/dt = Im tr(P_m G^dag U P_m^dag Gen)."""
     index, gens = _angle_generators(n_b)
-    n_wires = 1 + n_b
-    prefix = []
-    p = np.eye(2 ** n_wires, dtype=complex)
-    for gate, wires in ansatz_gate_sequence(angles, n_b):
-        p = embed(gate, wires, n_wires) @ p
-        prefix.append(p)
-    prefix = np.stack(prefix)
     r = prefix @ (g.conj().T @ u) @ prefix.conj().swapaxes(1, 2)
     return np.einsum("kij,kji->k", r[index], gens).imag
 
@@ -328,16 +333,18 @@ def energy_and_gradient(x: np.ndarray, lam: float, n_b: int,
     e.g. U = I) or a non-finite gradient give the penalty 10.0 with a zero
     gradient.
     """
-    build = build_ansatz_unitary if mode == "ansatz" else build_full_unitary
     try:
-        u = build(x, n_b)
+        if mode == "ansatz":
+            u, prefix = _ansatz_products(x, n_b)
+        else:
+            u = build_full_unitary(x, n_b)
         tensor = extract_isometry(u, n_b)
         value = tensor_energy(tensor, lam)
         g = _unitary_gradient(tensor, lam)
     except (BondsimError, np.linalg.LinAlgError):
         return 10.0, np.zeros(len(x))
     if mode == "ansatz":
-        grad = _ansatz_gradient(x, n_b, u, g)
+        grad = _ansatz_gradient(n_b, prefix, u, g)
     else:
         grad = _full_unitary_gradient(x, n_b, g)
     if not np.all(np.isfinite(grad)):
@@ -390,16 +397,9 @@ def variational_optimize(
 # boundary preparation
 
 
-@dataclass(frozen=True)
-class BoundaryPrep:
-    """Unitary W on the bond register with W|0...0> = |L>."""
-
-    w_unitary: np.ndarray
-    target_state: BoundaryState
-
-
-def boundary_prep(target: BoundaryState) -> BoundaryPrep:
-    """Build a bond-register unitary whose first column is the target state.
+def boundary_prep(target: BoundaryState) -> np.ndarray:
+    """A bond-register unitary W whose first column is the target state,
+    W|0...0> = |L>.
 
     The remaining columns are a deterministic orthonormal completion; only
     the first column matters since the register always starts in |0...0>.
@@ -418,7 +418,7 @@ def boundary_prep(target: BoundaryState) -> BoundaryPrep:
     prepared = w[:, 0]
     if np.linalg.norm(prepared - v) > 1e-12:
         raise BondsimError("boundary preparation does not hit the target")
-    return BoundaryPrep(w_unitary=w, target_state=target)
+    return w
 
 
 # ---------------------------------------------------------------------------

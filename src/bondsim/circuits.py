@@ -6,6 +6,11 @@ iterations samples local observables of the chain, and a terminal
 basis-rotation + measurement block on the bond register performs state
 tomography of the half-chain entanglement.
 
+A circuit says "block x j": its iterations are one tuple of op objects,
+repeated, and every later stage keeps that sharing.  Circuit.map_ops, which
+compile_circuit and noise.fold_circuit use, maps each distinct op object
+once, and the simulator finds the repetition by identity.
+
 Wire convention everywhere: wire 0 = system qubit, wires 1..n_b = bond
 register.
 """
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ansatz import AnsatzParams, BoundaryPrep, ansatz_gate_sequence
+from .ansatz import AnsatzParams, ansatz_gate_sequence
 from .gates import H, I2
 from .kak import NativeCircuitFragment, decompose_to_native
 from .mps import BondsimError
@@ -94,9 +99,22 @@ class Circuit:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for op in self.ops:
+        for op in self._distinct().values():
             if any(w < 0 or w >= self.n_wires for w in op.wires):
                 raise ValueError("op wires out of range")
+
+    def _distinct(self) -> dict:
+        """id -> op, for each distinct op object, in first-seen order."""
+        return {id(op): op for op in self.ops}
+
+    def map_ops(self, fn, **metadata) -> "Circuit":
+        """The circuit with each distinct op object replaced by fn(op),
+        computed once, so the result shares ops as this one does; metadata
+        entries are added to a copy of this circuit's."""
+        new = {key: fn(op) for key, op in self._distinct().items()}
+        return Circuit(n_wires=self.n_wires,
+                       ops=tuple(new[id(op)] for op in self.ops),
+                       metadata={**self.metadata, **metadata})
 
     def labels(self) -> list:
         return [op.label for op in self.ops if op.label is not None]
@@ -123,7 +141,7 @@ def _gate_sequence(u) -> list:
     raise ValueError("site unitary must act on 2 or 3 qubits")
 
 
-def build_state_prep_circuit(u, prep: BoundaryPrep | None, j: int,
+def build_state_prep_circuit(u, prep: np.ndarray | None, j: int,
                              purpose: str = "energy",
                              schedule: list | None = None,
                              setting: tuple | None = None,
@@ -131,7 +149,8 @@ def build_state_prep_circuit(u, prep: BoundaryPrep | None, j: int,
     """Assemble the j-iteration sequential preparation circuit.
 
     u: site unitary (AnsatzParams, 4x4, or 8x8 matrix).
-    prep: boundary preparation on the bond register (None = |0...0>).
+    prep: boundary-preparation unitary W on the bond register, W|0...0> =
+      |L> (None = |0...0>).
     purpose "energy": measure the system qubit per `schedule`, a list of
       (iteration, basis) pairs; default bases X, Z, Z on iterations
       j-2, j-1, j.  Each measured iteration's qubit is reset at the start
@@ -141,6 +160,9 @@ def build_state_prep_circuit(u, prep: BoundaryPrep | None, j: int,
       basis letter per bond wire.
     bond_frame: optional (matrix, wires) gates applied to the bond register
       after the last iteration (a gauge change of the measured bond basis).
+
+    Every iteration appends the same tuple of op objects, [reset(0); site
+    gates], so the circuit holds each of them once however large j is.
     """
     seq = _gate_sequence(u)
     n_wires = max(max(w) for _, w in seq) + 1
@@ -162,12 +184,11 @@ def build_state_prep_circuit(u, prep: BoundaryPrep | None, j: int,
             raise ValueError("schedule extends beyond the circuit")
     ops: list[CircuitOp] = []
     if prep is not None:
-        w = np.asarray(prep.w_unitary, dtype=complex)
-        ops.append(gate(w, tuple(range(1, n_b + 1))))
+        ops.append(gate(np.asarray(prep, dtype=complex),
+                        tuple(range(1, n_b + 1))))
+    site = (reset(0), *(gate(m, wires) for m, wires in seq))
     for it in range(1, j + 1):
-        ops.append(reset(0))
-        for m, wires in seq:
-            ops.append(gate(m, wires))
+        ops.extend(site)
         if it in meas_plan:
             ops.append(measure(0, meas_plan[it], label=f"m{it}:{meas_plan[it]}"))
     if bond_frame is not None:
@@ -217,23 +238,28 @@ def _fragment(u_bytes: bytes, wires: tuple, n_wires: int) -> NativeCircuitFragme
     return decompose_to_native(u, wires=wires, n_wires=n_wires)
 
 
+def _bare(op: CircuitOp) -> bool:
+    return op.kind == "gate" and op.fragment is None
+
+
 def compile_circuit(circuit: Circuit) -> Circuit:
     """Attach native fragments to every gate op (required for noisy runs).
 
-    Each distinct (unitary, wires) pair is decomposed once, also across
-    calls; the ops that repeat it share the fragment.
+    Each distinct op object is compiled once (Circuit.map_ops), so the
+    compiled circuit shares ops as its input does, and each distinct
+    (unitary, wires) pair is decomposed once, also across calls.  A circuit
+    whose gate ops all carry fragments is returned as it is.
     """
-    ops = []
-    for op in circuit.ops:
-        if op.kind == "gate" and op.fragment is None:
-            if op.unitary.shape[0] > 4:
-                raise BondsimError(
-                    "cannot compile a three-qubit gate to native form; "
-                    "use a tiled layout")
-            u = np.asarray(op.unitary, dtype=complex).tobytes()
-            ops.append(replace(op, fragment=_fragment(u, op.wires,
-                                                      circuit.n_wires)))
-        else:
-            ops.append(op)
-    return Circuit(n_wires=circuit.n_wires, ops=tuple(ops),
-                   metadata=dict(circuit.metadata))
+    if not any(map(_bare, circuit.ops)):
+        return circuit
+
+    def native(op):
+        if not _bare(op):
+            return op
+        if op.unitary.shape[0] > 4:
+            raise BondsimError("cannot compile a three-qubit gate to native "
+                               "form; use a tiled layout")
+        u = np.asarray(op.unitary, dtype=complex).tobytes()
+        return replace(op, fragment=_fragment(u, op.wires, circuit.n_wires))
+
+    return circuit.map_ops(native)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .gates import pauli_strings
 from .mps import BondsimError, entropy_bits
-from .noise import ZNEPair, zne_extrapolate
+from .noise import zne_extrapolate
 
 __all__ = [
     "EnergyEstimate",
@@ -204,10 +204,7 @@ def _tomography_entropy(tomo: Tomogram, folded: Tomogram | None,
     entropy in bits, over the resample axis of resampled tomograms."""
     coeffs = pauli_coefficients(tomo, restricted)
     if folded is not None:
-        coeffs = zne_extrapolate(ZNEPair(
-            base_estimates={"coeffs": coeffs},
-            folded_estimates={"coeffs": pauli_coefficients(folded, restricted)}
-        ))["coeffs"]
+        coeffs = zne_extrapolate(coeffs, pauli_coefficients(folded, restricted))
     return projected_entropy(rho_from_coefficients(coeffs, tomo.n_b))
 
 

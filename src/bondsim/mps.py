@@ -10,12 +10,14 @@ state is built from the fixed point's eigenvectors, with no search.
 Conventions: the site tensor V has shape (2, chi, chi) indexed [sigma, alpha,
 beta].  The bond state propagates left-to-right as rho' = sum_s K_s rho K_s^dag
 with K_s = V_s^T, which makes the channel exactly the partial trace of the
-unitary dilation used by the circuit simulator.
+unitary dilation used by the circuit simulator.  A channel is passed around
+as its (2, chi, chi) Kraus stack; the chi^2 x chi^2 transfer matrix is
+formed only where a spectrum or a linear solve needs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,23 +58,6 @@ class MPSTensor:
     @property
     def n_b(self) -> int:
         return int(self.chi).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class BondChannel:
-    """Kraus pair K_0, K_1 on bond space plus the chi^2 x chi^2 transfer matrix."""
-
-    kraus: tuple
-    transfer: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        k0, k1 = (np.asarray(k, dtype=complex) for k in self.kraus)
-        object.__setattr__(self, "kraus", (k0, k1))
-        object.__setattr__(self, "transfer", transfer_matrix((k0, k1)))
-
-    @property
-    def chi(self) -> int:
-        return self.kraus[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -125,17 +110,21 @@ def transfer_matrix(kraus) -> np.ndarray:
     return (t[0] + t[1]).reshape(k.shape[1] ** 2, -1)
 
 
-def bond_channel(tensor: MPSTensor) -> BondChannel:
+def bond_channel(tensor: MPSTensor) -> np.ndarray:
+    """The bond channel of an isometric tensor as its (2, chi, chi) Kraus
+    stack K_s = V_s^T, C-contiguous."""
     if not is_isometry(tensor, 1e-8):
         raise NotIsometricError("tensor violates sum_s V_s V_s^dag = I at 1e-8")
-    return BondChannel(kraus=(tensor.data[0].T.copy(), tensor.data[1].T.copy()))
+    return np.ascontiguousarray(tensor.data.transpose(0, 2, 1))
 
 
-def apply_channel(channel: BondChannel, rho: np.ndarray) -> np.ndarray:
+def apply_channel(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_s K_s rho K_s^dag for a (2, chi, chi) Kraus stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.chi, channel.chi):
-        raise ValueError(f"rho shape {rho.shape} != ({channel.chi}, {channel.chi})")
-    k0, k1 = channel.kraus
+    chi = kraus.shape[1]
+    if rho.shape != (chi, chi):
+        raise ValueError(f"rho shape {rho.shape} != ({chi}, {chi})")
+    k0, k1 = kraus
     return k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
 
 
@@ -234,16 +223,17 @@ def ising_energy_gradient(kraus, lam: float) -> np.ndarray:
     return y @ kr - wc @ rho - zk @ m
 
 
-def transfer_spectrum(channel: BondChannel, boundary: BoundaryState | None = None,
+def transfer_spectrum(kraus: np.ndarray, boundary: BoundaryState | None = None,
                       degeneracy_tol: float = 1e-8) -> ChannelSpectrum:
-    """Eigenvalues, fixed point and slowest left eigen-operator of a channel.
+    """Eigenvalues, fixed point and slowest left eigen-operator of the
+    channel with this (2, chi, chi) Kraus stack.
 
     Degenerate means a second eigenvalue on the unit circle (a second fixed
     point or a periodic orbit); the fixed point is then the one reached from
     ``boundary``, by default the symmetric state (the cat-state branch).
     """
-    chi = channel.chi
-    evals, evecs = np.linalg.eig(channel.transfer)
+    chi = kraus.shape[1]
+    evals, evecs = np.linalg.eig(transfer_matrix(kraus))
     order = np.argsort(-np.abs(evals))
     evals, evecs = evals[order], evecs[:, order]
     degenerate = chi > 1 and abs(evals[1]) > 1.0 - degeneracy_tol
@@ -297,10 +287,10 @@ def half_chain_entropy(tensor: MPSTensor, boundary: BoundaryState, j: int) -> En
     return entanglement_entropy(rho, tol=1e-6)
 
 
-def _iterate(channel: BondChannel, boundary: BoundaryState, n: int) -> np.ndarray:
+def _iterate(kraus: np.ndarray, boundary: BoundaryState, n: int) -> np.ndarray:
     rho = boundary.density()
     for _ in range(n):
-        rho = apply_channel(channel, rho)
+        rho = apply_channel(kraus, rho)
     return rho
 
 

@@ -13,12 +13,11 @@ from dataclasses import asdict, dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .circuits import Circuit, CircuitOp
+from .circuits import Circuit
 from .kak import NativeCircuitFragment
 
 __all__ = [
     "NoiseModel",
-    "ZNEPair",
     "depolarize",
     "fold_circuit",
     "leakage_postselect",
@@ -109,44 +108,25 @@ def _fold_fragment(frag: NativeCircuitFragment) -> NativeCircuitFragment:
 
 
 def fold_circuit(circuit: Circuit) -> Circuit:
-    """Triple every entangler in a native-compiled circuit.  Ops that share
-    a fragment share its folded copy, as compiled ops share fragments."""
-    folded: dict = {}
-    ops = []
-    for op in circuit.ops:
-        if op.kind == "gate":
-            if op.fragment is None:
-                raise ValueError("fold_circuit needs native fragments;"
-                                 " run compile_circuit first")
-            if id(op.fragment) not in folded:
-                folded[id(op.fragment)] = _fold_fragment(op.fragment)
-            ops.append(_dc_replace(op, fragment=folded[id(op.fragment)]))
-        else:
-            ops.append(op)
-    meta = dict(circuit.metadata)
-    meta["folded"] = True
-    return Circuit(n_wires=circuit.n_wires, ops=tuple(ops), metadata=meta)
+    """Triple every entangler in a native-compiled circuit.  Each distinct
+    op object is folded once (Circuit.map_ops), so the folded circuit
+    shares ops as its input does."""
+
+    def fold(op):
+        if op.kind != "gate":
+            return op
+        if op.fragment is None:
+            raise ValueError("fold_circuit needs native fragments;"
+                             " run compile_circuit first")
+        return _dc_replace(op, fragment=_fold_fragment(op.fragment))
+
+    return circuit.map_ops(fold, folded=True)
 
 
-@dataclass(frozen=True)
-class ZNEPair:
-    """Matched expectation values from a circuit and its noise-folded copy."""
-
-    base_estimates: dict
-    folded_estimates: dict
-
-    def __post_init__(self):
-        if set(self.base_estimates) != set(self.folded_estimates):
-            raise ValueError("base and folded estimates must share labels")
-
-
-def zne_extrapolate(pair: ZNEPair) -> dict:
-    """Linear extrapolation to zero noise: E_0 = E_1 - (E_3 - E_1) / 2."""
-    return {
-        k: pair.base_estimates[k] - 0.5 * (pair.folded_estimates[k]
-                                           - pair.base_estimates[k])
-        for k in pair.base_estimates
-    }
+def zne_extrapolate(base, folded):
+    """Linear extrapolation to zero noise of values (numbers or arrays) from
+    a circuit and its noise-folded copy: E_0 = E_1 - (E_3 - E_1) / 2."""
+    return base - 0.5 * (folded - base)
 
 
 def leakage_postselect(shots, check_label: str = "leak") -> tuple:

@@ -22,13 +22,17 @@ Every noise rule is a CPTP map, or an instrument on that register:
 The burn-in is one matrix power.  Just after a reset of the system wire the
 state is |0><0| there times a bond density matrix in each register state
 whose system flag is clear: the carrier, 16 or 80 numbers at chi=4 without
-or with leakage.  The leading run of identical [reset(0); gates] iterations
+or with leakage.  The leading run of repeated [reset(0); gates] iterations
 (all of a tomography circuit's; an energy circuit's up to its first
 measurement) maps the carrier linearly, so after the run's first reset
 _evolve applies the matrix of one iteration, raised to the count minus one,
-and goes on op by op.  That matrix is built by running the carrier basis
-through the same steps, and the last two are memoized by content, so every
-tomography setting of a point reuses its base and folded burn-in.
+and goes on op by op.  A circuit says "block x j": the circuit builder,
+compile_circuit and fold_circuit share one set of op objects across the
+iterations, so _find_run finds the run by identity, and the per-call fuse
+memo is keyed by the ids of the ops.  The matrix is built by running the
+carrier basis through the same steps, and the last two are memoized by
+content, so every tomography setting of a point, a circuit of its own,
+reuses its base and folded burn-in.
 
 Consecutive gate ops run as one list of steps (_fuse): every U_zz, and for
 each wire each run of k rotations up to the next U_zz on that wire, as the
@@ -50,6 +54,7 @@ and a leak flag per shot.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
@@ -133,19 +138,12 @@ def _branch(rho, outcomes, parts):
     return rho, np.column_stack([np.repeat(outcomes, 2, axis=0), signs])
 
 
-def _same_op(a: CircuitOp, b: CircuitOp) -> bool:
-    """Ops that evolve a state alike: one kind, wires, basis and label, and
-    the very same unitary and fragment objects (the circuit builder,
-    compile_circuit and fold_circuit share them across iterations)."""
-    return (a.unitary is b.unitary and a.fragment is b.fragment
-            and (a.kind, a.wires, a.basis, a.label)
-            == (b.kind, b.wires, b.basis, b.label))
-
-
 def _find_run(ops: tuple):
     """(start, length, count) of the leading run of repeated [reset(0);
     gates] iterations, from the first reset of wire 0; None if the first
-    iteration does not repeat."""
+    iteration does not repeat.  An iteration repeats when it is the same op
+    objects (circuits share them across iterations, see the circuits
+    module)."""
     resets = [i for i, op in enumerate(ops)
               if op.kind == "reset" and op.wires == (0,)]
     if len(resets) < 2 or any(op.kind != "gate"
@@ -156,7 +154,7 @@ def _find_run(ops: tuple):
     def repeats(k: int) -> bool:
         nxt = ops[start + k * length:start + (k + 1) * length]
         return len(nxt) == length and all(
-            map(_same_op, ops[start:start + length], nxt))
+            map(operator.is_, ops[start:start + length], nxt))
 
     count = 1
     while repeats(count):
@@ -301,10 +299,9 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
     fused: dict = {}
 
     def gates(rho, group):
-        """A run of consecutive gate ops, fused once per tuple of their
-        fragments."""
-        key = tuple((id(op.fragment), id(op.unitary), op.wires)
-                    for op in group)
+        """A run of consecutive gate ops, fused once per tuple of op
+        objects."""
+        key = tuple(map(id, group))
         if key not in fused:
             fused[key] = _fuse(group, n, noise.p1)
         return functools.reduce(apply, fused[key], rho)

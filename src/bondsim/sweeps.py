@@ -26,7 +26,7 @@ from .estimation import (energy_from_records, entropy_with_ci,
                          projected_entropy, tomogram_from_shots)
 from .gates import rx
 from .mps import BondsimError, DegenerateChannelError
-from .noise import NoiseModel, ZNEPair, fold_circuit, leakage_postselect, \
+from .noise import NoiseModel, fold_circuit, leakage_postselect, \
     zne_extrapolate
 from .simulator import sample_shots, simulate_exact
 
@@ -154,7 +154,8 @@ def _store_params(path: str, key: str, params: AnsatzParams) -> None:
 
 
 def prepare_point(params: AnsatzParams, burn_in_tol: float):
-    """(channel spectrum, boundary prep, iteration count) for one state.
+    """(tensor, Kraus stack of its bond channel, channel spectrum, boundary
+    state, boundary-preparation unitary W, iteration count j) for one state.
 
     Degenerate channels (a second eigenvalue on the unit circle: the
     symmetry-broken end of the grid, or a periodic orbit) fall back to the
@@ -190,7 +191,7 @@ def _energy_point(args):
     tensor, channel, spec, boundary, prep, j = prepare_point(
         params, cfg.burn_in_tol)
     circuit = build_state_prep_circuit(params, prep, j, purpose="energy")
-    if not noise.trivial or cfg.zne:
+    if cfg.zne:
         circuit = compile_circuit(circuit)
     seed = cfg.seed + 1000 * idx
     shots, retention = _shots(circuit, noise, cfg, seed)
@@ -207,11 +208,11 @@ def _energy_point(args):
     if cfg.zne:
         fshots, _ = _shots(fold_circuit(circuit), noise, cfg, seed + 1)
         fest = energy_from_records(fshots, lam)
-        comp = zne_extrapolate(ZNEPair(
-            base_estimates=est.components, folded_estimates=fest.components))
+        base, folded = est.components, fest.components
         row["e_raw"] = est.e
         row["e_folded"] = fest.e
-        row["e"] = -(comp["mean_ZZ"] + lam * comp["mean_X"])
+        row["e"] = -(zne_extrapolate(base["mean_ZZ"], folded["mean_ZZ"])
+                     + lam * zne_extrapolate(base["mean_X"], folded["mean_X"]))
         row["e_sigma"] = float(np.hypot(1.5 * est.sigma, 0.5 * fest.sigma))
     return row
 
@@ -237,7 +238,7 @@ def _entropy_point(args):
         circuit = build_state_prep_circuit(
             params, prep, j, purpose="tomography", setting=setting,
             bond_frame=frame)
-        if not noise.trivial or cfg.zne:
+        if cfg.zne:
             circuit = compile_circuit(circuit)
         recs[setting], _ = _shots(circuit, noise, cfg, seed + 2 * k)
         kept += len(recs[setting])
@@ -353,10 +354,9 @@ def run_validation(config: SweepConfig | None = None) -> dict:
     biases = {}
     for p2 in (0.008, 0.004):
         nm = NoiseModel(p2=p2, p1=0.0, p_leak=0.0, eps_meas=0.0, eps_reset=0.0)
-        rho_zne = zne_extrapolate(ZNEPair(
-            base_estimates={"rho": simulate_exact(compiled, nm).bond_rho},
-            folded_estimates={"rho": simulate_exact(folded, nm).bond_rho}))
-        biases[p2] = abs(float(projected_entropy(rho_zne["rho"])) - s0)
+        rho_zne = zne_extrapolate(simulate_exact(compiled, nm).bond_rho,
+                                  simulate_exact(folded, nm).bond_rho)
+        biases[p2] = abs(float(projected_entropy(rho_zne)) - s0)
     ratio = biases[0.008] / max(biases[0.004], 1e-30)
     _check(report, "zne-quadratic-scaling", 2.8 <= ratio <= 5.2,
            f"ratio={ratio:.3f}")

@@ -10,7 +10,9 @@
   branches, with no fusion, no matrix power and no leak-register stack;
 * the optimizer objective's arithmetic spelled term by term (np.kron
   transfer matrix, loop-summed generator, tensordot embedding, one matrix
-  product per Kraus operator), which the package must match bit for bit.
+  product per Kraus operator), which the package must match bit for bit;
+* the tiled layout's U and gradient prefixes composed in two passes over
+  the gate list, as they were before one pass built both.
 """
 
 from __future__ import annotations
@@ -278,6 +280,26 @@ def tensordot_ansatz_unitary(angles: np.ndarray, n_b: int) -> np.ndarray:
             u = tensordot_embed(gate, wires, n_wires) @ (dress @ u)
             dress = np.eye(2 ** n_wires, dtype=complex)
     return u
+
+
+def two_pass_ansatz_products(angles: np.ndarray, n_b: int) -> tuple:
+    """(U, prefixes): U in build_ansatz_unitary's grouping, each layer's Rx
+    dressing multiplied out first, then the prefixes E_m ... E_1 from a
+    second pass that builds and embeds every gate again."""
+    n_wires = 1 + n_b
+    u = dress = np.eye(2 ** n_wires, dtype=complex)
+    for gate, wires in ansatz_gate_sequence(angles, n_b):
+        if len(wires) == 1:
+            dress = embed(gate, wires, n_wires) @ dress
+        else:
+            u = embed(gate, wires, n_wires) @ (dress @ u)
+            dress = np.eye(2 ** n_wires, dtype=complex)
+    prefix = []
+    p = np.eye(2 ** n_wires, dtype=complex)
+    for gate, wires in ansatz_gate_sequence(angles, n_b):
+        p = embed(gate, wires, n_wires) @ p
+        prefix.append(p)
+    return u, np.stack(prefix)
 
 
 def pairwise_ising_terms(kraus, rho: np.ndarray) -> tuple:

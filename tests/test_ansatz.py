@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bondsim import mps
+from bondsim import ansatz, mps
 from bondsim.ansatz import (AnsatzParams, OptimizerConfig, ansatz_gate_sequence,
                             ansatz_num_params, boundary_prep,
                             build_ansatz_unitary, build_full_unitary,
@@ -11,7 +11,9 @@ from bondsim.ansatz import (AnsatzParams, OptimizerConfig, ansatz_gate_sequence,
                             gxy_gate, tensor_energy, variational_optimize)
 from bondsim.gates import X, Y, Z, embed, global_phase_distance, kron_all
 from bondsim.mps import steady_state
-from references import flip_covariance_error, unitarity_error
+from bondsim.sweeps import get_params
+from references import (flip_covariance_error, two_pass_ansatz_products,
+                        unitarity_error)
 
 ANGLES = st.floats(-np.pi, np.pi, allow_nan=False)
 
@@ -91,9 +93,8 @@ def test_tensor_energy_matches_iterated_channel():
     rng = np.random.default_rng(23)
     u = build_full_unitary(rng.normal(size=15) * 0.4, 1)
     t = extract_isometry(u, 1)
-    ch = mps.bond_channel(t)
-    rho = mps._iterate(ch, mps.BoundaryState(np.array([1.0, 0.0])), 400)
-    k = ch.kraus
+    k = mps.bond_channel(t)
+    rho = mps._iterate(k, mps.BoundaryState(np.array([1.0, 0.0])), 400)
 
     def site(op, r):
         return sum(op[s, q] * (k[q] @ r @ k[s].conj().T)
@@ -162,6 +163,37 @@ def test_energy_gradient_matches_central_differences(mode, n_b, lam):
     assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
 
 
+def _chi4_angle_points() -> list:
+    """The five bundled chi=4 points and four random angle vectors."""
+    bundled = [np.asarray(get_params(lam, 2, optimize_if_missing=False).angles)
+               for lam in (1.01, 1.05, 1.1, 1.15, 1.2)]
+    rng = np.random.default_rng(41)
+    return bundled + [rng.normal(scale=1.2, size=ansatz_num_params(2))
+                      for _ in range(4)]
+
+
+@pytest.mark.parametrize("n_b", [1, 2])
+def test_one_pass_layout_products_match_two_passes_bitwise(n_b):
+    """U and the gradient's prefixes from one pass over the gate list are
+    bit for bit the two-pass composition, and so are the objective's value
+    and gradient."""
+    points = (_chi4_angle_points() if n_b == 2 else
+              [np.random.default_rng(s).normal(scale=1.2, size=10)
+               for s in range(4)])
+    for x in points:
+        u, prefix = ansatz._ansatz_products(x, n_b)
+        ref_u, ref_prefix = two_pass_ansatz_products(x, n_b)
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(prefix, ref_prefix)
+        assert np.array_equal(build_ansatz_unitary(x, n_b), ref_u)
+        tensor = extract_isometry(ref_u, n_b)
+        g = ansatz._unitary_gradient(tensor, 1.1)
+        value, grad = energy_and_gradient(x, 1.1, n_b, "ansatz")
+        assert value == tensor_energy(tensor, 1.1)
+        assert np.array_equal(
+            grad, ansatz._ansatz_gradient(n_b, ref_prefix, ref_u, g))
+
+
 def test_degenerate_fixed_point_gets_the_penalty():
     """U = I: K_0 = I and K_1 = 0, so every state is fixed and the adjoint
     solve is singular.  The objective returns the penalty, not an error."""
@@ -205,8 +237,7 @@ def test_boundary_prep_first_column():
     rng = np.random.default_rng(3)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    prep = boundary_prep(mps.BoundaryState(v))
-    w = prep.w_unitary
+    w = boundary_prep(mps.BoundaryState(v))
     assert unitarity_error(w) < 1e-10
     e0 = np.zeros(4)
     e0[0] = 1.0

@@ -3,16 +3,17 @@ import pytest
 from scipy.stats import unitary_group
 
 from bondsim.ansatz import (AnsatzParams, ansatz_num_params, boundary_prep,
-                            build_ansatz_unitary)
+                            build_ansatz_unitary, canonical_gauge)
 from bondsim import circuits
 from bondsim.circuits import (BASIS_ROTATION, Circuit, CircuitOp,
                               build_state_prep_circuit, compile_circuit,
                               gate, leak_check, measure, reset,
                               tomography_settings)
-from bondsim.gates import PAULI, embed, global_phase_distance
+from bondsim.gates import PAULI, embed, global_phase_distance, rx
 from bondsim.mps import BondsimError, BoundaryState
-from bondsim.noise import NoiseModel
-from bondsim.sweeps import WORKER_ENV, SweepConfig, run_entropy_sweep
+from bondsim.noise import NoiseModel, fold_circuit
+from bondsim.sweeps import (WORKER_ENV, SweepConfig, get_params,
+                            prepare_point, run_entropy_sweep)
 
 
 def random_site_unitary(seed=0):
@@ -185,3 +186,52 @@ def test_compile_rejects_monolithic_three_qubit_gate():
     c = build_state_prep_circuit(u8, None, 3)
     with pytest.raises(BondsimError):
         compile_circuit(c)
+
+
+# ---------------------------------------------------------------------------
+# block x j: one set of op objects for every iteration, at every stage
+
+
+def _sharing(c: Circuit) -> list:
+    """For each op, the index of the first op that is the same object."""
+    first: dict = {}
+    return [first.setdefault(id(op), i) for i, op in enumerate(c.ops)]
+
+
+def _bundled_circuit(lam, n_b, purpose, setting=None):
+    """A bundled point's circuit, built as the sweeps build it."""
+    params = get_params(lam, n_b, optimize_if_missing=False)
+    tensor, *_, prep, j = prepare_point(params, 1e-4)
+    frame = None
+    if purpose == "tomography":
+        _, _, angles = canonical_gauge(tensor)
+        frame = [(rx(a), (1 + k,)) for k, a in enumerate(angles)
+                 if abs(a) > 1e-12]
+    return build_state_prep_circuit(params, prep, j, purpose=purpose,
+                                    setting=setting, bond_frame=frame)
+
+
+@pytest.mark.parametrize("lam,n_b,purpose,setting,distinct", [
+    (1.15, 2, "tomography", ("X", "X"), 22),
+    (1.2, 1, "energy", None, 7),
+])
+def test_stages_share_one_op_per_distinct_op(lam, n_b, purpose, setting,
+                                             distinct):
+    """Built, compiled and folded circuits hold one op object per distinct
+    op, however many iterations they spell, and share them alike."""
+    built = _bundled_circuit(lam, n_b, purpose, setting)
+    compiled = compile_circuit(built)
+    folded = fold_circuit(compiled)
+    assert len(built.ops) > 5 * distinct
+    for c in (built, compiled, folded):
+        assert len({id(op) for op in c.ops}) == distinct
+        assert _sharing(c) == _sharing(built)
+    assert compiled.metadata == built.metadata
+    assert folded.metadata == {**built.metadata, "folded": True}
+
+
+def test_compile_returns_a_compiled_circuit_as_it_is():
+    c = compile_circuit(_bundled_circuit(1.2, 2, "tomography", ("Y", "Z")))
+    folded = fold_circuit(c)
+    assert compile_circuit(c) is c
+    assert compile_circuit(folded) is folded

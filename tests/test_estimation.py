@@ -15,7 +15,7 @@ from bondsim.estimation import (RESTRICTED_PATTERN, Tomogram,
                                 tomogram_from_shots)
 from bondsim.gates import pauli_strings
 from bondsim.mps import BondsimError
-from bondsim.noise import ZNEPair, zne_extrapolate
+from bondsim.noise import zne_extrapolate
 from bondsim.simulator import ShotTable, sample_shots, simulate_exact
 from bondsim.sweeps import get_params
 
@@ -171,9 +171,8 @@ def test_point_estimate_matches_single_matrix_reference(n_b, restricted,
                     for seed in (21, 31))
     s, _ = entropy_with_ci(tomo, mitigation=folded, bootstrap_b=100,
                            restricted=restricted)
-    coeffs = zne_extrapolate(ZNEPair(
-        base_estimates={"c": pauli_coefficients(tomo, restricted)},
-        folded_estimates={"c": pauli_coefficients(folded, restricted)}))["c"]
+    coeffs = zne_extrapolate(pauli_coefficients(tomo, restricted),
+                             pauli_coefficients(folded, restricted))
     rho = np.einsum("p,pij->ij", coeffs, pauli_strings(n_b)) / 2 ** n_b
     w, u = np.linalg.eigh(rho)
     assert (w.min() < 0) == pure

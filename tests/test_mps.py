@@ -206,16 +206,15 @@ def test_half_chain_entropy_converges_to_fixed_point():
 def test_expectation_consistency():
     """<O>_j from the iterated channel equals the brute-force trace formula."""
     t = random_isometric_tensor(2, 31)
-    ch = mps.bond_channel(t)
+    k = mps.bond_channel(t)
     b = mps.symmetric_boundary(2)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1, -1]).astype(complex)
     j = 7
     rho = b.density()
     for _ in range(j - 1):
-        rho = mps.apply_channel(ch, rho)
-    assert np.allclose(mps._iterate(ch, b, j - 1), rho, atol=1e-14)
-    k = ch.kraus
+        rho = mps.apply_channel(k, rho)
+    assert np.allclose(mps._iterate(k, b, j - 1), rho, atol=1e-14)
     ex = sum(x[s, tt] * np.trace(k[tt] @ rho @ k[s].conj().T)
              for s in (0, 1) for tt in (0, 1)).real
     got_x, zz = mps.ising_terms(k, rho)

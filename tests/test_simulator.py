@@ -52,9 +52,9 @@ def test_exact_marginals_match_channel_expectations():
     ch = mps.bond_channel(TENSOR)
     b = mps.BoundaryState(np.array([1.0, 0.0]))
     # site n is generated from the bond state after n - 1 iterations
-    ex, _ = mps.ising_terms(ch.kraus, mps._iterate(ch, b, J - 3))
-    _, ezz = mps.ising_terms(ch.kraus, mps._iterate(ch, b, J - 2))
-    k0, k1 = ch.kraus
+    ex, _ = mps.ising_terms(ch, mps._iterate(ch, b, J - 3))
+    _, ezz = mps.ising_terms(ch, mps._iterate(ch, b, J - 2))
+    k0, k1 = ch
     rho = mps._iterate(ch, b, J - 1)
     ez = np.trace(k0 @ rho @ k0.conj().T - k1 @ rho @ k1.conj().T).real
     assert np.isclose(res.marginals[f"m{J-2}:X"], ex, atol=1e-12)
@@ -72,7 +72,7 @@ def test_pair_products_keyed_in_op_order_past_nine_iterations():
     assert list(res.pair_products) == list(combinations(c.labels(), 2))
     ch = mps.bond_channel(TENSOR)
     rho = mps._iterate(ch, mps.BoundaryState(np.array([1.0, 0.0])), j - 2)
-    _, ezz = mps.ising_terms(ch.kraus, rho)
+    _, ezz = mps.ising_terms(ch, rho)
     assert np.isclose(res.pair_products[("m9:Z", "m10:Z")], ezz, atol=1e-12)
 
 
