@@ -8,7 +8,8 @@ Cartan (KAK) decomposition
 
 tensor-product unitaries compile with no entangler, controlled-phase-class
 unitaries (one interaction coefficient at +-pi/4) with a single U_zz, and
-everything else with three U_zz via the standard three-CNOT central circuit.
+everything else with three U_zz: a closed-form core built from (a, b, c)
+alone (Vatan & Williams, PRA 69, 032315 (2004)).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import (CZ, H, I2, X, Y, Z, embed, global_phase_distance,
-                    native_gate, rx, ry, rz)
+from .gates import (H, X, Y, Z, embed, global_phase_distance, native_gate,
+                    rx, ry, rz)
 
 __all__ = [
     "NativeCircuitFragment",
@@ -183,11 +184,6 @@ def _ai_kak(v: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray, np.ndarray]
     return gphase, k1.real, theta, k2.real
 
 
-def _kak_raw(u: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
-    """u = gphase * M k1 diag(exp(i theta)) k2 M^dag with k1, k2 real orthogonal."""
-    return _ai_kak(_MAGIC.conj().T @ u @ _MAGIC)
-
-
 def _interaction(a: float, b: float, c: float) -> np.ndarray:
     m = np.cos(a) * np.eye(4) + 1j * np.sin(a) * np.kron(X, X)
     m = m @ (np.cos(b) * np.eye(4) + 1j * np.sin(b) * np.kron(Y, Y))
@@ -203,7 +199,7 @@ def kak_decompose(u: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray, tuple
     """
     if u.shape != (4, 4):
         raise ValueError("expected a 4x4 unitary")
-    gphase, k1, theta, k2 = _kak_raw(u)
+    gphase, k1, theta, k2 = _ai_kak(_MAGIC.conj().T @ u @ _MAGIC)
     basis = np.stack([_DIAG_XX, _DIAG_YY, _DIAG_ZZ]).T  # 4 x 3
     coeffs, *_ = np.linalg.lstsq(basis, theta, rcond=None)
     ph1, g1, g2 = _kron_factor(_MAGIC @ k1 @ _MAGIC.conj().T)
@@ -237,10 +233,6 @@ def _emit_single_uzz(b: _FragmentBuilder, axis: int, sign: float, w0: int, w1: i
         b.one_qubit(conj, w1)
 
 
-_CNOT01 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-_CNOT10 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
-
-
 def _emit_cnot(b: _FragmentBuilder, control: int, target: int) -> None:
     """CNOT = (H on target) CZ (H on target); CZ = e^{i pi/4} U_zz (Rz(pi/2) x Rz(pi/2))."""
     b.one_qubit(H, target)
@@ -251,61 +243,19 @@ def _emit_cnot(b: _FragmentBuilder, control: int, target: int) -> None:
     b.one_qubit(H, target)
 
 
-# Bookkeeping frame in which the canonical U(1)^4 factor matches the
-# three-entangler central circuit: A_M = SWAP S0 (MAGIC diag MAGIC^dag) S0^dag.
-_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-_S0 = np.kron(np.diag([1j, 1]), np.eye(2)).astype(complex)
-
-
-def _central_params(a_m: np.ndarray) -> tuple[float, float, float, float]:
-    """Angles of the 3-entangler central circuit matching a matrix of the form
-
-        [e^{-id'}cos a'        0               0        -e^{-id'}sin a']
-        [      0         e^{ie'}sin b'   e^{ie'}cos b'        0        ]
-        [      0         e^{ie'}cos b'  -e^{ie'}sin b'        0        ]
-        [e^{-id'}sin a'        0               0         e^{-id'}cos a']
-
-    with a = a' + b', b = a' - b', d = d' + e', e = (d' - e')/2.
-    """
-    if max(abs(a_m[0, 0].real), abs(a_m[3, 0].real)) < 1e-10:
-        apb = np.arctan2(a_m[3, 0].imag, a_m[0, 0].imag)
-    else:
-        apb = np.arctan2(a_m[3, 0].real, a_m[0, 0].real)
-    if max(abs(a_m[1, 1].real), abs(a_m[2, 1].real)) < 1e-10:
-        amb = np.arctan2(a_m[1, 1].imag, a_m[2, 1].imag)
-    else:
-        amb = np.arctan2(a_m[1, 1].real, a_m[2, 1].real)
-    a, b = apb + amb, apb - amb
-    if abs(a_m[0, 0]) > 1e-10:
-        apb_frac = a_m[0, 0] / np.cos(apb)
-    else:
-        apb_frac = a_m[3, 0] / np.sin(apb)
-    if abs(a_m[2, 1]) > 1e-10:
-        amb_frac = a_m[2, 1] / np.cos(amb)
-    else:
-        amb_frac = a_m[1, 1] / np.sin(amb)
-    d = np.angle(amb_frac * np.conj(apb_frac))
-    e = -np.angle(amb_frac * np.exp(-1j * d / 2))
-    return float(a), float(b), float(d), float(e)
-
-
-def _central_matrix(a: float, b: float, d: float) -> np.ndarray:
-    m = _CNOT10.copy()
-    m = np.kron(rz(d), ry(b)) @ m
-    m = _CNOT01 @ m
-    m = np.kron(I2, ry(a)) @ m
-    m = _CNOT10 @ m
-    return m
-
-
-def _emit_central(b: _FragmentBuilder, a: float, bb: float, d: float,
-                  w0: int, w1: int) -> None:
-    _emit_cnot(b, w1, w0)
-    b.one_qubit(rz(d), w0)
-    b.one_qubit(ry(bb), w1)
-    _emit_cnot(b, w0, w1)
-    b.one_qubit(ry(a), w1)
-    _emit_cnot(b, w1, w0)
+def _emit_core(b: _FragmentBuilder, a: float, bb: float, c: float,
+               u: int, v: int) -> None:
+    """Append e^{-i pi/4} exp(i (a XX + bb YY + c ZZ)) on wires (u, v) with
+    three CNOTs (Vatan & Williams, PRA 69, 032315 (2004)); the interaction
+    is symmetric under a swap of the wires."""
+    b.one_qubit(rz(np.pi / 2), v)
+    _emit_cnot(b, v, u)
+    b.one_qubit(rz(np.pi / 2 - 2 * c), u)
+    b.one_qubit(ry(np.pi / 2 - 2 * a), v)
+    _emit_cnot(b, u, v)
+    b.one_qubit(ry(2 * bb - np.pi / 2), v)
+    _emit_cnot(b, v, u)
+    b.one_qubit(rz(-np.pi / 2), u)
 
 
 def compile_two_qubit(u: np.ndarray, wires: tuple = (0, 1),
@@ -314,7 +264,8 @@ def compile_two_qubit(u: np.ndarray, wires: tuple = (0, 1),
 
     Tensor products need no entangler; unitaries locally equivalent to a
     controlled-phase flip (one interaction coefficient at +-pi/4, the rest
-    trivial) need one U_zz; the generic case needs three.
+    trivial) need one U_zz; the generic case needs three, in a closed-form
+    core from the Cartan coordinates (a, b, c) (Vatan & Williams 2004).
     """
     if u.shape != (4, 4):
         raise ValueError("expected a 4x4 unitary")
@@ -353,29 +304,14 @@ def compile_two_qubit(u: np.ndarray, wires: tuple = (0, 1),
         builder.one_qubit(g2, w1)
         return builder.finish()
 
-    # Generic case: cast the canonical factor into the bookkeeping frame of
-    # the 3-entangler central circuit and read off its angles.
-    w = _MAGIC.conj().T @ _S0.conj().T @ _SWAP @ u @ _S0 @ _MAGIC
-    gphase, k1, theta, k2 = _ai_kak(w)
-    l1 = _MAGIC @ k1 @ _MAGIC.conj().T
-    l2 = _MAGIC @ k2 @ _MAGIC.conj().T
-    a_l = gphase * (_MAGIC @ np.diag(np.exp(1j * theta)) @ _MAGIC.conj().T)
-    m1 = _SWAP @ _S0 @ l1 @ _S0.conj().T @ _SWAP
-    m2 = _S0 @ l2 @ _S0.conj().T
-    a_m = _SWAP @ _S0 @ a_l @ _S0.conj().T
-    ca, cb, cd, ce = _central_params(a_m)
-    cen = _central_matrix(ca, cb, cd)
-    kappa = np.trace(cen.conj().T @ a_m) / 4
-    if abs(abs(kappa) - 1) > 1e-8 or np.linalg.norm(kappa * cen - a_m) > 1e-8:
-        raise np.linalg.LinAlgError("central-circuit extraction failed")
-    p1, m1a, m1b = _kron_factor(m1)
-    p2, m2a, m2b = _kron_factor(m2)
-    builder.phase(kappa * p1 * p2)
-    builder.one_qubit(m2a, w0)
-    builder.one_qubit(m2b, w1)
-    _emit_central(builder, ca, cb, cd, w0, w1)
-    builder.one_qubit(m1a, w0)
-    builder.one_qubit(m1b, w1)
+    # Generic case: the closed-form three-U_zz core, e^{-i pi/4} times the
+    # interaction; the wires enter swapped, which saves rotations.
+    builder.phase(phase * np.exp(1j * np.pi / 4))
+    builder.one_qubit(g3, w0)
+    builder.one_qubit(g4, w1)
+    _emit_core(builder, *coeffs, w1, w0)
+    builder.one_qubit(g1, w0)
+    builder.one_qubit(g2, w1)
     return builder.finish()
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ISO_TOL = 1e-10
+# |mu_2| above 1 - DEGENERACY_TOL counts as on the unit circle.
+DEGENERACY_TOL = 1e-8
 
 
 class BondsimError(Exception):
@@ -223,8 +225,8 @@ def ising_energy_gradient(kraus, lam: float) -> np.ndarray:
     return y @ kr - wc @ rho - zk @ m
 
 
-def transfer_spectrum(kraus: np.ndarray, boundary: BoundaryState | None = None,
-                      degeneracy_tol: float = 1e-8) -> ChannelSpectrum:
+def transfer_spectrum(kraus: np.ndarray,
+                      boundary: BoundaryState | None = None) -> ChannelSpectrum:
     """Eigenvalues, fixed point and slowest left eigen-operator of the
     channel with this (2, chi, chi) Kraus stack.
 
@@ -236,7 +238,7 @@ def transfer_spectrum(kraus: np.ndarray, boundary: BoundaryState | None = None,
     evals, evecs = np.linalg.eig(transfer_matrix(kraus))
     order = np.argsort(-np.abs(evals))
     evals, evecs = evals[order], evecs[:, order]
-    degenerate = chi > 1 and abs(evals[1]) > 1.0 - degeneracy_tol
+    degenerate = chi > 1 and abs(evals[1]) > 1.0 - DEGENERACY_TOL
     if boundary is None:
         boundary = symmetric_boundary(chi)
     fixed = project_fixed_point(evals, evecs, boundary.density())

@@ -6,6 +6,8 @@
 * exact tomograms: one probability vector per measurement setting, built
   from the exact marginals and pair products of the tomography circuits,
   and the package's one estimator route from a tomogram to (rho, S);
+* the infinite-shot, leak-post-selected, zero-noise-extrapolated energy of
+  a point, the referee of the sampled noisy energy rows;
 * the noisy engine's rules applied one native op at a time, to a dict of
   branches, with no fusion, no matrix power and no leak-register stack;
 * the optimizer objective's arithmetic spelled term by term (np.kron
@@ -26,12 +28,13 @@ from scipy.linalg import expm
 
 from bondsim import estimation
 from bondsim.ansatz import ansatz_gate_sequence, canonical_gauge
-from bondsim.circuits import build_state_prep_circuit, tomography_settings
+from bondsim.circuits import (build_state_prep_circuit, compile_circuit,
+                              tomography_settings)
 from bondsim.gates import (PAULI, X, Z, embed, kron_all, native_gate,
                            pauli_strings, rx)
 from bondsim.mps import entanglement_entropy, project_fixed_point
-from bondsim.noise import depolarize
-from bondsim.simulator import simulate_exact
+from bondsim.noise import depolarize, fold_circuit, zne_extrapolate
+from bondsim.simulator import _evolve, simulate_exact
 from bondsim.sweeps import prepare_point
 from bondsim.tfim import OracleResult, TFIMParams
 
@@ -153,6 +156,26 @@ def tomography_state(tomo, restricted: bool = False) -> tuple:
     rho = estimation.rho_from_coefficients(
         estimation.pauli_coefficients(tomo, restricted), tomo.n_b)
     return rho, float(estimation.projected_entropy(rho))
+
+
+def exact_mitigated_energy(params, noise, burn_in_tol: float = 1e-4) -> float:
+    """The energy row's mitigated e at infinitely many shots: <X> and <Z Z>
+    of the compiled energy circuit and of its folded copy, each from the
+    exact distribution conditioned on a clean leak check, extrapolated to
+    zero noise with ``zne_extrapolate``."""
+    prep, j = prepare_point(params, burn_in_tol)[4:]
+    base = compile_circuit(build_state_prep_circuit(params, prep, j))
+    means = []
+    for circuit in (base, fold_circuit(base)):
+        dist = _evolve(circuit, noise)
+        col = dict(zip(dist.labels, dist.outcomes.T))
+        lx, lz1, lz2 = estimation._energy_labels(dist.labels)
+        kept = dist.probs * (col["leak"] == 1)
+        kept = kept / kept.sum()
+        means.append((kept @ col[lx], kept @ (col[lz1] * col[lz2])))
+    (x, zz), (x_f, zz_f) = means
+    return float(-(zne_extrapolate(zz, zz_f)
+                   + params.lam * zne_extrapolate(x, x_f)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from bondsim.circuits import (BASIS_ROTATION, Circuit, CircuitOp,
 from bondsim.gates import PAULI, embed, global_phase_distance, rx
 from bondsim.mps import BondsimError, BoundaryState
 from bondsim.noise import NoiseModel, fold_circuit
-from bondsim.sweeps import (WORKER_ENV, SweepConfig, get_params,
-                            prepare_point, run_entropy_sweep)
+from bondsim.sweeps import (WORKER_ENV, SweepConfig, _bundled_table,
+                            get_params, prepare_point, run_entropy_sweep)
 
 
 def random_site_unitary(seed=0):
@@ -179,6 +179,29 @@ def test_chi4_point_decomposes_each_distinct_gate_once(monkeypatch):
     assert len(calls) == 20
     assert run_entropy_sweep(cfg) == first
     assert len(calls) == 20
+
+
+# Native rotations in one iteration, summed over the 23 bundled points, as
+# compiled when this bound was set; a compile change may lower it.
+BUNDLED_ROTATIONS_PER_ITERATION = 924
+
+
+def test_bundled_points_native_op_counts():
+    """The Z-setting tomography circuit of every bundled point spends 3 U_zz
+    on each two-qubit gate, and the native rotations of one iteration (the
+    ops between two resets) do not creep up."""
+    rotations = 0
+    for entry in _bundled_table().values():
+        lam, n_b = float(entry["lambda"]), int(entry["n_b"])
+        c = compile_circuit(_bundled_circuit(lam, n_b, "tomography",
+                                             ("Z",) * n_b))
+        pairs = sum(1 for op in c.ops
+                    if op.kind == "gate" and len(op.wires) == 2)
+        assert c.count_uzz() == 3 * pairs
+        resets = [i for i, op in enumerate(c.ops) if op.kind == "reset"]
+        rotations += sum(len(op.fragment.ops) - op.fragment.uzz_count
+                         for op in c.ops[resets[0] + 1:resets[1]])
+    assert rotations <= BUNDLED_ROTATIONS_PER_ITERATION
 
 
 def test_compile_rejects_monolithic_three_qubit_gate():

@@ -3,10 +3,12 @@ synthesis for arbitrary two-qubit unitaries."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from bondsim.ansatz import gxy_gate
-from bondsim.gates import (CZ, H, I2, UZZ, X, Z, embed,
+from bondsim.gates import (CZ, H, I2, UZZ, X, Y, Z, embed,
                            global_phase_distance, kron_all, rx, ry, rz)
 from bondsim.kak import (NativeCircuitFragment, compile_one_qubit,
                          compile_two_qubit, decompose_to_native, euler_zyz,
@@ -140,3 +142,61 @@ def test_fragment_matrix_only_native_ops():
             assert angle is None and len(wires) == 2
         else:
             assert isinstance(angle, float) and len(wires) == 1
+
+
+def dressed_interaction(a, b, c, rng):
+    """exp(i (a XX + b YY + c ZZ)) between Haar-random local gates."""
+    core = expm(1j * (a * kron_all(X, X) + b * kron_all(Y, Y)
+                      + c * kron_all(Z, Z)))
+    left, right = (kron_all(*unitary_group.rvs(2, size=2, random_state=rng))
+                   for _ in range(2))
+    return left @ core @ right
+
+
+@pytest.mark.parametrize("coords", [
+    (np.pi / 4, np.pi / 4, np.pi / 4),
+    (np.pi / 8, np.pi / 8, 0.0),
+    (np.pi / 4, np.pi / 8, 0.0),
+    (0.3, 0.0, 0.3),
+    (np.pi / 4 - 1e-9, 0.0, 0.0),  # just off the one-U_zz class
+    (0.0, 0.7, -0.4),              # the class of the chi=4 GXY tiles
+])
+def test_three_uzz_core_at_weyl_points(coords):
+    """The generic fragment reproduces the gate, global phase included
+    (folding and the engine rely on it), with three U_zz."""
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        gate = dressed_interaction(*coords, rng)
+        frag = compile_two_qubit(gate, (0, 1), 2)
+        assert fragment_error(frag, gate) < 1e-10
+        assert frag.uzz_count == 3
+
+
+QUARTER = np.pi / 4
+
+
+def _off_quarter_turns(t: float) -> bool:
+    return abs(t / QUARTER - round(t / QUARTER)) > 1e-6
+
+
+# A coordinate is a multiple of pi/4 or at least 1e-6 * pi/4 away from one.
+_coordinate = st.one_of(
+    st.integers(-4, 4).map(lambda k: k * QUARTER),
+    st.floats(-np.pi, np.pi).filter(_off_quarter_turns))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_coordinate, _coordinate, _coordinate),
+       st.integers(0, 2**32 - 1))
+def test_fragment_exact_and_uzz_count_follows_the_class(coords, seed):
+    """Tensor products take 0 U_zz, the controlled-phase class (one
+    coordinate an odd multiple of pi/4, the others multiples of pi/2) 1, and
+    everything else 3."""
+    gate = dressed_interaction(*coords, np.random.default_rng(seed))
+    frag = compile_two_qubit(gate, (0, 1), 2)
+    assert fragment_error(frag, gate) < 1e-10
+    turns = [round(t / QUARTER) for t in coords if not _off_quarter_turns(t)]
+    local = sum(1 for k in turns if k % 2 == 0)
+    half = sum(1 for k in turns if k % 2 == 1)
+    expected = 0 if local == 3 else 1 if (local, half) == (2, 1) else 3
+    assert frag.uzz_count == expected

@@ -8,6 +8,9 @@ from bondsim.gates import embed, kron_all, rz
 from bondsim.noise import (NoiseModel, depolarize, fold_circuit,
                            leakage_postselect, zne_extrapolate)
 from bondsim.simulator import ShotTable
+from bondsim.sweeps import get_params
+from bondsim.tfim import TFIMParams, exact_energy_density
+from references import exact_mitigated_energy
 
 
 def random_density(n_wires, seed):
@@ -130,6 +133,23 @@ def test_zne_exact_for_linear_noise():
     recovers E0 exactly."""
     e0, c = 0.42, -0.011
     assert np.isclose(zne_extrapolate(e0 + c, e0 + 3 * c), e0)
+
+
+# The README energy grid; every point is bundled.
+ENERGY_GRID = tuple(round(0.2 * k, 10) for k in range(11))
+
+
+@pytest.mark.parametrize("lam", ENERGY_GRID)
+def test_mitigated_energy_bias_is_bounded(lam):
+    """At infinitely many shots, the post-selected ZNE energy of every chi=2
+    grid point is within 0.05 J/site of the exact energy under the default
+    noise (worst 0.044 at lambda = 0, where j = 95); without noise it is the
+    variational energy up to the burn-in tolerance."""
+    params = get_params(lam, 1, optimize_if_missing=False)
+    exact = exact_energy_density(TFIMParams(lam)).energy_density
+    assert abs(exact_mitigated_energy(params, NoiseModel()) - exact) <= 0.05
+    assert np.isclose(exact_mitigated_energy(params, NoiseModel.none()),
+                      params.energy, atol=1e-4)
 
 
 def test_leakage_postselect():
