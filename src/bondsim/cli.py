@@ -49,7 +49,10 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in-tol", type=float, default=1e-4)
     p.add_argument("--mode", type=str, default=None,
-                   choices=("ansatz", "full_unitary"))
+                   choices=("ansatz", "full_unitary"),
+                   help="default full_unitary at --nb 1, ansatz at --nb 2;"
+                        " full_unitary at --nb 2 is one three-qubit gate,"
+                        " which cannot be compiled: noiseless only")
     p.add_argument("--params-cache", type=str, default=None)
     p.add_argument("--format", type=str, default="csv",
                    choices=("csv", "json"))

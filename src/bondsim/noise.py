@@ -84,7 +84,8 @@ def depolarize(rho: np.ndarray, wires: tuple, p: float,
         mixed[..., :, 0, :, :, 0, :] = mixed[..., :, 1, :, :, 1, :] = 0.5 * (
             t[..., :, 0, :, :, 0, :] + t[..., :, 1, :, :, 1, :])
         mixed = mixed.reshape(rho.shape)
-    return (1.0 - p) * rho + p * mixed
+    # At p = 1, (1-p) rho + p mixed is mixed up to the sign of a zero.
+    return mixed if p == 1.0 else (1.0 - p) * rho + p * mixed
 
 
 def _fold_fragment(frag: NativeCircuitFragment) -> NativeCircuitFragment:

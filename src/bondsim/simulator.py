@@ -28,13 +28,20 @@ measurement) maps the carrier linearly, so after the run's first reset
 _evolve applies the matrix of one iteration, raised to the count minus one,
 and goes on op by op.  A circuit says "block x j": the circuit builder,
 compile_circuit and fold_circuit share one set of op objects across the
-iterations, so _find_run finds the run by identity, and the per-call fuse
-memo is keyed by the ids of the ops.  The matrix is built by running the
-carrier basis through the same steps, and the last two are memoized by
-content, so every tomography setting of a point, a circuit of its own,
-reuses its base and folded burn-in.
+iterations, so _find_run finds the run by identity.  The matrix is built
+by running the carrier basis through the same steps, and the last two are
+memoized by content, so every tomography setting of a point, a circuit of
+its own, reuses its base and folded burn-in.
 
-Consecutive gate ops run as one list of steps (_fuse): every U_zz, and for
+The state carries its support, the register states that can hold weight:
+state 0 at the start, the filled states of a carrier push or a power step,
+moved along the nonzero pattern of each leak or reset.  Steps act on each
+register state on its own, so skipping the rest, exact zeros, changes no
+float.  A carrier basis vector that starts leaked reaches only the states
+whose leak mask contains its own: the ever bit and bond wires never reset.
+
+Consecutive gate ops run as one list of steps (_fuse, memoized by content
+in _FUSED, so a point's circuits fuse each group once): every U_zz, and for
 each wire each run of k rotations up to the next U_zz on that wire, as the
 product of the run followed by one depolarizing of strength 1 - (1 - p1)^k,
 on the register states where the wire is not leaked.  This is the same
@@ -210,6 +217,8 @@ _BLOCK_CHANNELS: OrderedDict = OrderedDict()
 # Carrier basis operators per pass of the engine: one leak-register state's
 # worth at chi=4, a stack smaller than a tomography circuit's final state.
 _BASIS_CHUNK = 16
+# Fused steps of the last 16 gate groups; each step holds a 2^n x 2^n matrix.
+_FUSED: OrderedDict = OrderedDict()
 
 
 def _build_block_channel(push, size: int) -> np.ndarray:
@@ -220,14 +229,20 @@ def _build_block_channel(push, size: int) -> np.ndarray:
                            for lo in range(0, size, _BASIS_CHUNK)])
 
 
+def _memo(cache: OrderedDict, size: int, key: tuple, make):
+    """cache[key], made on a miss; evicts least recently used at `size`."""
+    if key not in cache:
+        if len(cache) == size:
+            cache.popitem(last=False)
+        cache[key] = make()
+    cache.move_to_end(key)
+    return cache[key]
+
+
 def _block_channel(key: tuple, push, size: int) -> np.ndarray:
     """_build_block_channel, memoized under `key` in _BLOCK_CHANNELS."""
-    if key not in _BLOCK_CHANNELS:
-        if len(_BLOCK_CHANNELS) == 2:
-            _BLOCK_CHANNELS.popitem(last=False)
-        _BLOCK_CHANNELS[key] = _build_block_channel(push, size)
-    _BLOCK_CHANNELS.move_to_end(key)
-    return _BLOCK_CHANNELS[key]
+    return _memo(_BLOCK_CHANNELS, 2, key,
+                 lambda: _build_block_channel(push, size))
 
 
 def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
@@ -256,13 +271,15 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
     def clear(w: int) -> np.ndarray:
         return move(np.where(mask < 0, 0, 1 + (mask & ~(1 << w))))
 
-    def shift(t: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return (t @ rho.reshape(len(rho), n_reg, -1)).reshape(rho.shape)
+    def shift(t: np.ndarray, rho: np.ndarray, live: np.ndarray) -> tuple:
+        """Register transition t; the support goes where t reaches."""
+        return ((t @ rho.reshape(len(rho), n_reg, -1)).reshape(rho.shape),
+                (t[:, live] != 0.0).any(axis=1))
 
-    def spectator(rho: np.ndarray, eps: float) -> np.ndarray:
+    def spectator(rho, live, eps: float) -> np.ndarray:
         if eps > 0.0:
             for b in range(1, n):
-                rho = _on(rho, ~flagged[:, b],
+                rho = _on(rho, live & ~flagged[:, b],
                           lambda r: depolarize(r, (b,), eps, n))
         return rho
 
@@ -270,47 +287,46 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
     zz_phase: dict = {}
     uzz_leak: dict = {}
 
-    def uzz(rho, wires):
+    def uzz(state, wires):
+        rho, live = state
         if wires not in zz_phase:
             d = np.diag(embed(native_gate("uzz"), wires, n))
             zz_phase[wires] = d[:, None] * d.conj()[None, :]
         held = flagged[:, list(wires)]
-        rho = _on(rho, ~held.any(axis=1),
+        rho = _on(rho, live & ~held.any(axis=1),
                   lambda r: depolarize(r * zz_phase[wires], wires, noise.p2, n))
         for a, b in ((0, 1), (1, 0)):
-            rho = _on(rho, held[:, a] & ~held[:, b],
+            rho = _on(rho, live & held[:, a] & ~held[:, b],
                       lambda r: depolarize(r, (wires[b],), 1.0, n))
         if n_reg > 1:
             if wires not in uzz_leak:
                 uzz_leak[wires] = leak(wires[1]) @ leak(wires[0])
-            rho = shift(uzz_leak[wires], rho)
-        return rho
+            return shift(uzz_leak[wires], rho, live)
+        return rho, live
 
-    def apply(rho, step):
+    def apply(state, step):
         """One step of a _fuse list."""
         kind, wires, u, p = step
         if kind == "uzz":
-            return uzz(rho, wires)
+            return uzz(state, wires)
+        rho, live = state
         if kind == "unitary":
-            return u @ rho @ u.conj().T
-        return _on(rho, ~flagged[:, wires[0]],
-                   lambda r: depolarize(u @ r @ u.conj().T, wires, p, n))
+            return u @ rho @ u.conj().T, live
+        return _on(rho, live & ~flagged[:, wires[0]],
+                   lambda r: depolarize(u @ r @ u.conj().T, wires, p, n)), live
 
-    fused: dict = {}
+    def gates(state, group):
+        """A run of consecutive gate ops, fused once per content."""
+        steps = _memo(_FUSED, 16, (n, noise.p1, tuple(map(_op_key, group))),
+                      lambda: _fuse(group, n, noise.p1))
+        return functools.reduce(apply, steps, state)
 
-    def gates(rho, group):
-        """A run of consecutive gate ops, fused once per tuple of op
-        objects."""
-        key = tuple(map(id, group))
-        if key not in fused:
-            fused[key] = _fuse(group, n, noise.p1)
-        return functools.reduce(apply, fused[key], rho)
-
-    def reset_op(rho, w):
+    def reset_op(state, w):
+        rho, live = state
         rho = sum(k @ rho @ k.conj().T for k in kraus[w])
         if n_reg > 1:
-            rho = shift(clear(w), rho)
-        return spectator(rho, noise.eps_reset) if w == 0 else rho
+            rho, live = shift(clear(w), rho, live)
+        return (spectator(rho, live, noise.eps_reset) if w == 0 else rho), live
 
     # The carrier: the bond matrices of the register states whose wire-0
     # flag is clear, flattened (see the module docstring).
@@ -323,10 +339,11 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
         rho = np.zeros((len(vec), n_reg, dim, dim), dtype=complex)
         rho[:, regs, :half, :half] = vec.reshape(len(vec), len(regs), half,
                                                  half)
-        return rho
+        return rho, rho.any(axis=(0, 2, 3))
 
     rho = np.zeros((1, n_reg, dim, dim), dtype=complex)
     rho[0, 0, 0, 0] = 1.0
+    live = np.arange(n_reg) == 0
     outcomes = np.zeros((1, 0), dtype=np.int8)
     labels: list = []
     snapshot = None
@@ -339,10 +356,10 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
             end = i + 1
             while end < len(ops) and ops[end].kind == "gate":
                 end += 1
-            rho = gates(rho, ops[i:end])
+            rho, live = gates((rho, live), ops[i:end])
             i = end - 1
         elif op.kind == "reset":
-            rho = reset_op(rho, op.wires[0])
+            rho, live = reset_op((rho, live), op.wires[0])
         elif op.kind == "measure":
             w = op.wires[0]
             pauli = embed(PAULI[op.basis], op.wires, n)
@@ -355,7 +372,7 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
             rho, outcomes = _branch(rho, outcomes, parts)
             labels.append(op.label)
             if w == 0:
-                rho = spectator(rho, noise.eps_meas)
+                rho = spectator(rho, live, noise.eps_meas)
         elif op.kind == "leak_check":
             if sorted(op.wires) != list(range(n)):
                 raise ValueError("leak_check must list every wire")
@@ -372,9 +389,11 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> _Distribution:
             block = ops[start + 1:start + length]
             m = _block_channel(
                 (n, noise, tuple(map(_op_key, block + (op,)))),
-                lambda vec: carrier(reset_op(gates(uncarrier(vec), block), 0)),
+                lambda vec: carrier(reset_op(gates(uncarrier(vec), block),
+                                             0)[0]),
                 len(regs) * half * half)
-            rho = uncarrier(carrier(rho) @ np.linalg.matrix_power(m, count - 1))
+            rho, live = uncarrier(
+                carrier(rho) @ np.linalg.matrix_power(m, count - 1))
             i += (count - 1) * length
         i += 1
         total = np.einsum("brii->", rho).real

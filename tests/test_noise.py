@@ -81,6 +81,20 @@ def test_depolarize_commutes_with_a_unitary_on_its_wire():
     assert np.abs(hits - once).max() < 1e-12
 
 
+def test_full_depolarizing_is_the_traced_part():
+    """At p = 1 depolarize returns the traced part itself; that is the
+    general (1 - p) rho + p mixed bit for bit, on a stack and on every
+    wire."""
+    rng = np.random.default_rng(11)
+    rho = rng.normal(size=(4, 5, 8, 8)) + 1j * rng.normal(size=(4, 5, 8, 8))
+    for w in range(3):
+        t = rho.reshape((4, 5) + (2 ** w, 2, 2 ** (2 - w)) * 2)
+        traced = np.einsum("...aibcid->...abcd", t)
+        mixed = 0.5 * np.einsum("...abcd,ij->...aibcjd", traced, np.eye(2))
+        general = 0.0 * rho + 1.0 * mixed.reshape(rho.shape)
+        assert np.array_equal(depolarize(rho, (w,), 1.0, 3), general)
+
+
 def test_depolarize_preserves_trace_and_hermiticity():
     rho = random_density(3, 5)
     out = depolarize(rho, (0, 2), 0.3, 3)

@@ -455,3 +455,65 @@ def test_fused_rotations_match_op_by_op_reference():
         assert got.keys() >= probs.keys()
         assert max(abs(got[k] - probs.get(k, 0.0)) for k in got) < 1e-12
         assert np.abs(dist.bond_rho - bond_rho).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the support: register states that can hold weight
+
+# Leak masks of the chi=4 carrier's register states, in carrier order: never
+# leaked, then leaked with wires {}, {1}, {2}, {1, 2} leaked now.
+CARRIER_MASKS = (None, 0b000, 0b010, 0b100, 0b110)
+
+
+def _short_chi4_circuits():
+    """A bundled chi=4 tomography circuit with j = 3, so the power step
+    still runs, compiled, base and folded."""
+    params = get_params(1.15, 2, optimize_if_missing=False)
+    tensor, *_, prep, _ = prepare_point(params, 1e-4)
+    _, _, angles = canonical_gauge(tensor)
+    frame = [(rx(a), (1 + k,)) for k, a in enumerate(angles)
+             if abs(a) > 1e-12]
+    c = compile_circuit(build_state_prep_circuit(
+        params, prep, 3, purpose="tomography", setting=("Z", "Y"),
+        bond_frame=frame))
+    assert simulator._find_run(c.ops)[2] == 3
+    return c, fold_circuit(c)
+
+
+def test_leaked_start_chunks_match_op_by_op_reference(monkeypatch):
+    """The carrier rows that start leaked reach only leaked register states
+    whose leak mask contains their own, and skipping the rest keeps the
+    distribution of the independent reference."""
+    monkeypatch.setattr(simulator, "_BLOCK_CHANNELS", OrderedDict())
+    for circuit in _short_chi4_circuits():
+        dist = simulator._evolve(circuit, HEAVY)
+        probs, bond_rho = op_by_op_distribution(circuit, HEAVY)
+        got = {(tuple(o), bool(l)): p for o, l, p in
+               zip(dist.outcomes, dist.leaked, dist.probs)}
+        assert got.keys() >= probs.keys()
+        assert max(abs(got[k] - probs.get(k, 0.0)) for k in got) < 1e-12
+        assert np.abs(dist.bond_rho - bond_rho).max() < 1e-12
+    for m in simulator._BLOCK_CHANNELS.values():
+        blocks = m.reshape(5, 16, 5, 16)
+        assert not blocks[1:, :, 0].any()   # leaked rows, never-leaked columns
+        for a, ma in enumerate(CARRIER_MASKS):
+            for b, mb in enumerate(CARRIER_MASKS):
+                reach = ma is None or (mb is not None and mb & ma == ma)
+                assert blocks[a, :, b].any() == reach, (a, b)
+
+
+def test_steps_skip_register_states_without_weight(monkeypatch):
+    """No step is applied to a register state whose matrices are all exact
+    zeros, in the carrier pushes or op by op."""
+    monkeypatch.setattr(simulator, "_BLOCK_CHANNELS", OrderedDict())
+    empty = []
+    on = simulator._on
+
+    def spy(rho, sel, fn):
+        empty.append(int((~rho[:, sel].any(axis=(0, 2, 3))).sum()))
+        return on(rho, sel, fn)
+
+    monkeypatch.setattr(simulator, "_on", spy)
+    for circuit in _short_chi4_circuits():
+        simulator._evolve(circuit, HEAVY)
+    assert len(empty) > 0 and sum(empty) == 0
