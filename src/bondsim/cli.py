@@ -121,19 +121,15 @@ def _grid(args, default: tuple) -> tuple:
 
 
 def _noise(args) -> NoiseModel | None:
-    base = NoiseModel.load(args.noise_profile) if args.noise_profile else None
+    profile = args.noise_profile
     overrides = {k: getattr(args, a) for k, a in
                  (("p2", "p2"), ("p1", "p1"), ("p_leak", "pleak"),
                   ("eps_meas", "eps_meas"), ("eps_reset", "eps_reset"))
                  if getattr(args, a) is not None}
-    if base is None and not overrides:
+    if not profile and not overrides:
         return None
-    fields = {"p2": 0.0, "p1": 0.0, "p_leak": 0.0, "eps_meas": 0.0,
-              "eps_reset": 0.0}
-    if base is not None:
-        fields = {k: getattr(base, k) for k in fields}
-    fields.update(overrides)
-    return NoiseModel(**fields)
+    return replace(NoiseModel.load(profile) if profile else NoiseModel.none(),
+                   **overrides)
 
 
 def _emit(rows, fmt: str, out: str | None) -> None:

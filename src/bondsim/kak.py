@@ -4,12 +4,13 @@ Native operations are arbitrary-angle single-qubit rotations and the fixed
 entangler U_zz = exp(i pi/4 Z x Z).  Two-qubit unitaries go through the
 Cartan (KAK) decomposition
 
-    U = e^{i phi} (g1 x g2) exp(i (a XX + b YY + c ZZ)) (g3 x g4);
+    U = e^{i phi} (g1 x g2) exp(i (a XX + b YY + c ZZ)) (g3 x g4),
 
-tensor-product unitaries compile with no entangler, controlled-phase-class
-unitaries (one interaction coefficient at +-pi/4) with a single U_zz, and
-everything else with three U_zz: a closed-form core built from (a, b, c)
-alone (Vatan & Williams, PRA 69, 032315 (2004)).
+with every coordinate in [-pi/4, pi/4] (whole multiples of pi/2 are local
+and fold into g1 x g2), and compile on one path: g3 x g4, a core read off
+(a, b, c), g1 x g2.  The core is empty for tensor products, one U_zz for
+the controlled-phase class (one coordinate at +-pi/4, the others zero), and
+otherwise three U_zz in closed form (Vatan & Williams, PRA 69, 032315 (2004)).
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ def kak_decompose(u: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray, tuple
     """Cartan decomposition of a 4x4 unitary.
 
     Returns (phase, g1, g2, (a, b, c), g3, g4) with
-    u = phase * (g1 x g2) exp(i (a XX + b YY + c ZZ)) (g3 x g4).
+    u = phase * (g1 x g2) exp(i (a XX + b YY + c ZZ)) (g3 x g4) and every
+    coordinate reduced into [-pi/4, pi/4].
     """
     if u.shape != (4, 4):
         raise ValueError("expected a 4x4 unitary")
@@ -204,6 +206,14 @@ def kak_decompose(u: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray, tuple
     coeffs, *_ = np.linalg.lstsq(basis, theta, rcond=None)
     ph1, g1, g2 = _kron_factor(_MAGIC @ k1 @ _MAGIC.conj().T)
     ph2, g3, g4 = _kron_factor(_MAGIC @ k2 @ _MAGIC.conj().T)
+    # Fold the nearest multiple k of pi/2 into g1 x g2: the Pauli pairs
+    # commute and exp(i t PP) = i^k (P^k x P^k) exp(i (t - k pi/2) PP); the
+    # phase fix below absorbs the i^k.
+    for axis, pauli in enumerate((X, Y, Z)):
+        k = round(coeffs[axis] / (np.pi / 2))
+        coeffs[axis] -= k * np.pi / 2
+        if k % 2:
+            g1, g2 = g1 @ pauli, g2 @ pauli
     phase = gphase * ph1 * ph2
     rec = phase * np.kron(g1, g2) @ _interaction(*coeffs) @ np.kron(g3, g4)
     inner = np.trace(rec.conj().T @ u) / 4
@@ -262,54 +272,30 @@ def compile_two_qubit(u: np.ndarray, wires: tuple = (0, 1),
                       n_wires: int = 2) -> NativeCircuitFragment:
     """Compile a 4x4 unitary into single-qubit rotations and U_zz gates.
 
-    Tensor products need no entangler; unitaries locally equivalent to a
-    controlled-phase flip (one interaction coefficient at +-pi/4, the rest
-    trivial) need one U_zz; the generic case needs three, in a closed-form
-    core from the Cartan coordinates (a, b, c) (Vatan & Williams 2004).
+    One path for every gate: g3 x g4, the core of its class read off the
+    reduced Cartan coordinates, then g1 x g2.  Tensor products (no active
+    coordinate) need no core; one active coordinate at a quarter turn (the
+    controlled-phase class) needs one U_zz; everything else takes the
+    closed-form three-U_zz core (Vatan & Williams 2004).
     """
     if u.shape != (4, 4):
         raise ValueError("expected a 4x4 unitary")
     w0, w1 = wires
-    builder = _FragmentBuilder(n_wires)
     phase, g1, g2, coeffs, g3, g4 = kak_decompose(u)
-    # Reduce coefficients mod pi/2: exp(i pi/2 PP) = i PP is local.
-    reduced = [(t + np.pi / 4) % (np.pi / 2) - np.pi / 4 for t in coeffs]
-    active = [k for k, t in enumerate(reduced) if abs(np.sin(2 * t)) > 1e-10]
-    half = [k for k in active if abs(np.cos(2 * reduced[k])) < 1e-10]
-
-    if not active:
-        mid = _interaction(*coeffs)  # a local Pauli-type product
-        lphase, l1, l2 = _kron_factor(mid)
-        builder.phase(phase * lphase)
-        builder.one_qubit(l1 @ g3, w0)
-        builder.one_qubit(l2 @ g4, w1)
-        builder.one_qubit(g1, w0)
-        builder.one_qubit(g2, w1)
-        return builder.finish()
-
-    if len(active) == 1 and half:
-        mid = _interaction(*coeffs)
-        axis = active[0]
-        sign = 1.0 if reduced[axis] > 0 else -1.0
-        pauli = (np.kron(X, X), np.kron(Y, Y), np.kron(Z, Z))[axis]
-        q = (np.eye(4) + 1j * sign * pauli) / np.sqrt(2)
-        lphase, l1, l2 = _kron_factor(mid @ q.conj().T)
-        builder.phase(phase * lphase)
-        builder.one_qubit(g3, w0)
-        builder.one_qubit(g4, w1)
-        _emit_single_uzz(builder, axis, sign, w0, w1)
-        builder.one_qubit(l1, w0)
-        builder.one_qubit(l2, w1)
-        builder.one_qubit(g1, w0)
-        builder.one_qubit(g2, w1)
-        return builder.finish()
-
-    # Generic case: the closed-form three-U_zz core, e^{-i pi/4} times the
-    # interaction; the wires enter swapped, which saves rotations.
-    builder.phase(phase * np.exp(1j * np.pi / 4))
+    active = [k for k, t in enumerate(coeffs) if abs(np.sin(2 * t)) > 1e-10]
+    builder = _FragmentBuilder(n_wires)
     builder.one_qubit(g3, w0)
     builder.one_qubit(g4, w1)
-    _emit_core(builder, *coeffs, w1, w0)
+    if len(active) == 1 and abs(np.cos(2 * coeffs[active[0]])) < 1e-10:
+        axis = active[0]
+        _emit_single_uzz(builder, axis, 1.0 if coeffs[axis] > 0 else -1.0,
+                         w0, w1)
+    elif active:
+        # e^{-i pi/4} times the interaction; the wires enter swapped, which
+        # saves rotations.
+        phase *= np.exp(1j * np.pi / 4)
+        _emit_core(builder, *coeffs, w1, w0)
+    builder.phase(phase)
     builder.one_qubit(g1, w0)
     builder.one_qubit(g2, w1)
     return builder.finish()

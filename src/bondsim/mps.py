@@ -152,22 +152,20 @@ def project_fixed_point(evals: np.ndarray, evecs: np.ndarray,
     return rho / tr
 
 
-def steady_state(tensor: MPSTensor, boundary: np.ndarray | None = None) -> np.ndarray:
-    """Bond-channel fixed point reachable from a boundary density matrix
-    (default I/chi).
+def steady_state(tensor: MPSTensor) -> np.ndarray:
+    """Bond-channel fixed point reachable from the maximally mixed bond
+    state I/chi.
 
-    Solves the eigenproblem of the transfer matrix once and projects the
-    boundary onto the eigenvalue-1 eigenspace (``project_fixed_point``);
+    Solves the eigenproblem of the transfer matrix once and projects I/chi
+    onto the eigenvalue-1 eigenspace (``project_fixed_point``);
     with a degenerate fixed-point space (ordered phase) this picks the state
     the iterated channel converges to.  Skips ``bond_channel``'s isometry
     check, which the optimizer's unitaries satisfy by construction.
     """
     v = tensor.data
     chi = v.shape[1]
-    if boundary is None:
-        boundary = np.eye(chi) / chi
     w, r = np.linalg.eig(transfer_matrix(v.transpose(0, 2, 1)))
-    return project_fixed_point(w, r, boundary)
+    return project_fixed_point(w, r, np.eye(chi) / chi)
 
 
 def ising_terms(kraus, rho: np.ndarray) -> tuple[float, float]:
@@ -225,23 +223,21 @@ def ising_energy_gradient(kraus, lam: float) -> np.ndarray:
     return y @ kr - wc @ rho - zk @ m
 
 
-def transfer_spectrum(kraus: np.ndarray,
-                      boundary: BoundaryState | None = None) -> ChannelSpectrum:
+def transfer_spectrum(kraus: np.ndarray) -> ChannelSpectrum:
     """Eigenvalues, fixed point and slowest left eigen-operator of the
     channel with this (2, chi, chi) Kraus stack.
 
     Degenerate means a second eigenvalue on the unit circle (a second fixed
     point or a periodic orbit); the fixed point is then the one reached from
-    ``boundary``, by default the symmetric state (the cat-state branch).
+    the symmetric boundary state (the cat-state branch).
     """
     chi = kraus.shape[1]
     evals, evecs = np.linalg.eig(transfer_matrix(kraus))
     order = np.argsort(-np.abs(evals))
     evals, evecs = evals[order], evecs[:, order]
     degenerate = chi > 1 and abs(evals[1]) > 1.0 - DEGENERACY_TOL
-    if boundary is None:
-        boundary = symmetric_boundary(chi)
-    fixed = project_fixed_point(evals, evecs, boundary.density())
+    fixed = project_fixed_point(evals, evecs,
+                                symmetric_boundary(chi).density())
 
     # Left eigen-operator at the subdominant eigenvalue: the Hilbert-Schmidt
     # overlap Tr(E2^dag rho_0) is the coefficient of the slowest transient.

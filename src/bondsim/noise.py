@@ -62,18 +62,17 @@ class NoiseModel:
 
 
 def depolarize(rho: np.ndarray, wires: tuple, p: float,
-               n_wires: int | None = None) -> np.ndarray:
+               n_wires: int) -> np.ndarray:
     """rho -> (1-p) rho + p (Tr_wires rho) x I/d on the targeted wires.
 
-    rho may carry leading batch axes, shape (..., 2^n, 2^n); every matrix in
-    the batch gets the same channel.
+    rho holds n_wires qubits and may carry leading batch axes, shape
+    (..., 2^n_wires, 2^n_wires); every matrix in the batch gets the same
+    channel.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     if p == 0.0:
         return rho
-    if n_wires is None:
-        n_wires = int(np.log2(rho.shape[-1]))
     mixed = rho
     for w in wires:
         # Trace out one wire and put I/2 back in its place.  Wire 0 is the

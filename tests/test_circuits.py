@@ -183,7 +183,7 @@ def test_chi4_point_decomposes_each_distinct_gate_once(monkeypatch):
 
 # Native rotations in one iteration, summed over the 23 bundled points, as
 # compiled when this bound was set; a compile change may lower it.
-BUNDLED_ROTATIONS_PER_ITERATION = 924
+BUNDLED_ROTATIONS_PER_ITERATION = 913
 
 
 def test_bundled_points_native_op_counts():

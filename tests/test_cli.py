@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from bondsim.cli import ENERGY_GRID, build_parser, main
+from bondsim.cli import ENERGY_GRID, _noise, build_parser, main
+from bondsim.noise import NoiseModel
 
 
 def test_parser_subcommands():
@@ -71,6 +72,25 @@ def test_energy_sweep_noise_flags(tmp_path):
     assert rc == 0
     row = json.loads(out.read_text())[0]
     assert row["retention"] < 1.0
+
+
+def test_noise_flags_build_the_model(tmp_path):
+    """No flag is noiseless; overrides start from zero rates; a profile
+    gives its rates, and an override replaces just its own rate."""
+    rates = dict(p2=0.02, p1=0.001, p_leak=0.003, eps_meas=0.004,
+                 eps_reset=0.005)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(rates))
+
+    def noise(*flags):
+        return _noise(build_parser().parse_args(["energy-sweep", *flags]))
+
+    assert noise() is None
+    assert noise("--p2", "0.01", "--pleak", "0.002") == NoiseModel(
+        p2=0.01, p1=0.0, p_leak=0.002, eps_meas=0.0, eps_reset=0.0)
+    assert noise("--noise-profile", str(profile)) == NoiseModel(**rates)
+    assert (noise("--noise-profile", str(profile), "--p2", "0.01")
+            == NoiseModel(**{**rates, "p2": 0.01}))
 
 
 def test_entropy_sweep_command(tmp_path):

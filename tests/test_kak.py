@@ -49,6 +49,8 @@ def test_kak_decompose_reconstructs():
         core = expm(1j * (a * xx + b * yy + c * zz))
         rebuilt = phase * kron_all(g1, g2) @ core @ kron_all(g3, g4)
         assert np.linalg.norm(rebuilt - u) < 1e-9
+        # whole multiples of pi/2 are folded into the local gates
+        assert max(abs(a), abs(b), abs(c)) <= np.pi / 4
 
 
 def test_one_qubit_compilation():
