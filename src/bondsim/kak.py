@@ -6,11 +6,11 @@ Cartan (KAK) decomposition
 
     U = e^{i phi} (g1 x g2) exp(i (a XX + b YY + c ZZ)) (g3 x g4),
 
-with every coordinate in [-pi/4, pi/4] (whole multiples of pi/2 are local
-and fold into g1 x g2), and compile on one path: g3 x g4, a core read off
-(a, b, c), g1 x g2.  The core is empty for tensor products, one U_zz for
-the controlled-phase class (one coordinate at +-pi/4, the others zero), and
-otherwise three U_zz in closed form (Vatan & Williams, PRA 69, 032315 (2004)).
+with each coordinate in [-pi/4, pi/4] (multiples of pi/2 fold into g1 x g2).
+Every gate compiles on one path: g3 x g4, a core read off (a, b, c), g1 x g2.
+The core is empty for tensor products, one U_zz for the controlled-phase
+class (one coordinate at +-pi/4, the others zero), and otherwise three U_zz
+in closed form (Vatan & Williams, PRA 69, 032315 (2004)).
 """
 
 from __future__ import annotations
@@ -227,16 +227,16 @@ def kak_decompose(u: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray, tuple
 _AXIS_CONJ = {0: H, 1: rx(-np.pi / 2), 2: None}  # XX, YY, ZZ
 
 
-def _emit_single_uzz(b: _FragmentBuilder, axis: int, sign: float, w0: int, w1: int) -> None:
-    """Append exp(i sign*pi/4 P P) using one U_zz."""
+def _emit_single_uzz(b: _FragmentBuilder, axis: int, t: float, w0: int, w1: int) -> None:
+    """Append exp(i t P P), t = +-pi/4, using one U_zz."""
     conj = _AXIS_CONJ[axis]
     if conj is not None:
         b.one_qubit(conj.conj().T, w0)
         b.one_qubit(conj.conj().T, w1)
-    if sign < 0:
+    if t < 0:
         b.one_qubit(X, w0)
     b.uzz(w0, w1)
-    if sign < 0:
+    if t < 0:
         b.one_qubit(X, w0)
     if conj is not None:
         b.one_qubit(conj, w0)
@@ -287,9 +287,7 @@ def compile_two_qubit(u: np.ndarray, wires: tuple = (0, 1),
     builder.one_qubit(g3, w0)
     builder.one_qubit(g4, w1)
     if len(active) == 1 and abs(np.cos(2 * coeffs[active[0]])) < 1e-10:
-        axis = active[0]
-        _emit_single_uzz(builder, axis, 1.0 if coeffs[axis] > 0 else -1.0,
-                         w0, w1)
+        _emit_single_uzz(builder, active[0], coeffs[active[0]], w0, w1)
     elif active:
         # e^{-i pi/4} times the interaction; the wires enter swapped, which
         # saves rotations.

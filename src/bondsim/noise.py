@@ -65,9 +65,8 @@ def depolarize(rho: np.ndarray, wires: tuple, p: float,
                n_wires: int) -> np.ndarray:
     """rho -> (1-p) rho + p (Tr_wires rho) x I/d on the targeted wires.
 
-    rho holds n_wires qubits and may carry leading batch axes, shape
-    (..., 2^n_wires, 2^n_wires); every matrix in the batch gets the same
-    channel.
+    rho may carry leading batch axes, shape (..., 2^n_wires, 2^n_wires);
+    every matrix in the batch gets the same channel.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
