@@ -120,8 +120,11 @@ class Circuit:
         return [op.label for op in self.ops if op.label is not None]
 
     def count_uzz(self) -> int:
-        return sum(op.fragment.uzz_count for op in self.ops
-                   if op.kind == "gate" and op.fragment is not None)
+        """U_zz in the native fragments, counted once per distinct op."""
+        per_op = {key: op.fragment.uzz_count
+                  for key, op in self._distinct().items()
+                  if op.kind == "gate" and op.fragment is not None}
+        return sum(per_op.get(id(op), 0) for op in self.ops)
 
 
 def _gate_sequence(u) -> list:

@@ -216,12 +216,17 @@ def entropy_with_ci(tomogram: Tomogram, mitigation: Tomogram | None = None,
     mitigation, when given, is the tomogram of the noise-folded circuit;
     expectations are extrapolated to zero noise before assembly.  All
     bootstrap_b multinomial resamples of every setting are drawn at once and
-    go through the pipeline of the point estimate as one stack.
+    go through the pipeline of the point estimate as one stack.  Fewer than
+    50 shots in a setting of the tomogram, or none in a setting of the
+    folded one, raise BondsimError; an exact tomogram has no shot count.
     """
     if bootstrap_b < 100:
         raise ValueError("use at least 100 bootstrap resamples")
     if tomogram.shots_per_setting is not None and tomogram.shots_per_setting < 50:
         raise BondsimError("fewer than 50 shots per setting; refusing to "
+                           "estimate an entropy")
+    if mitigation is not None and mitigation.shots_per_setting == 0:
+        raise BondsimError("a folded setting kept no shots; refusing to "
                            "estimate an entropy")
     point = _tomography_entropy(tomogram, mitigation, restricted)
     rng = np.random.default_rng(seed)

@@ -56,6 +56,21 @@ simulate_exact reads marginals, pair products, retention and the bond state
 off that distribution; sample_shots makes one seeded draw of shots from it
 and returns them as columns, a ShotTable: one int8 column of +-1 per label
 and a leak flag per shot.
+
+Post-selected shots come from the clean branch.  Weight that leaves the
+never-leaked register state never returns, and in that state a U_zz only
+multiplies it by (1 - p_leak)^2; no other rule there reads p_leak.  So the
+never-leaked cells of a circuit's distribution are r = (1 - p_leak)^(2 U_zz)
+times its cells at p_leak = 0, and sample_shots(..., postselect=True) runs
+the engine at p_leak = 0, with one register state, and weights its cells by
+r.  The full distribution lists the never-leaked cells first, in the order
+of the p_leak = 0 one, and Generator.choice maps each shot's uniform
+through the normalised cumulative sum, so one extra cell of weight 1 - r
+for every leaked shot makes the draw keep the shots the full draw followed
+by the leak check keeps, from the same seed.  They can differ only where a
+uniform falls within rounding (about 1e-15) of a cell boundary.  The leak
+register runs for the draws that are not post-selected and for
+simulate_exact.
 """
 
 from __future__ import annotations
@@ -63,7 +78,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -430,15 +445,50 @@ def simulate_exact(circuit: Circuit, noise: NoiseModel | None = None) -> SimResu
         retention=float(1.0 - dist.probs[dist.leaked].sum()))
 
 
+def _clean_branch(circuit: Circuit, noise: NoiseModel) -> tuple:
+    """(circuit, noise, r) for a post-selected draw: the circuit compiled
+    and the model at p_leak = 0 when it leaks, and r = (1 - p_leak)^(2 U_zz),
+    the probability that a shot passes the circuit's one leak check."""
+    checks = [i for i, op in enumerate(circuit.ops) if op.kind == "leak_check"]
+    if len(checks) != 1:
+        raise ValueError("post-selection needs one leak check in the circuit")
+    if noise.p_leak == 0.0:
+        return circuit, noise, 1.0
+    circuit = compile_circuit(circuit)
+    if Circuit(circuit.n_wires, circuit.ops[checks[0] + 1:]).count_uzz():
+        raise ValueError("a U_zz after the leak check would leak kept shots")
+    r = (1.0 - noise.p_leak) ** (2 * circuit.count_uzz())
+    return circuit, replace(noise, p_leak=0.0), r
+
+
 def sample_shots(circuit: Circuit, noise: NoiseModel | None = None,
-                 n_shots: int = 1000, seed: int = 0) -> ShotTable:
-    """Draw n_shots from the exact distribution, as one ShotTable."""
+                 n_shots: int = 1000, seed: int = 0,
+                 postselect: bool = False) -> ShotTable:
+    """Draw n_shots from the exact distribution, as one ShotTable; with
+    postselect, only the shots that pass the leak check.
+
+    A post-selected draw runs the engine at p_leak = 0 and draws over its
+    cells times r, the full distribution's never-leaked cells in its order,
+    then one cell of weight 1 - r for every leaked shot, and drops the draws
+    that land there.  So the same uniforms keep the same shots as the full
+    draw followed by noise.leakage_postselect, up to rounding at a cell
+    boundary (see the module docstring).
+    """
     if n_shots < 1:
         raise ValueError("need at least one shot")
-    dist = _evolve(circuit, noise or NoiseModel.none())
+    noise = noise or NoiseModel.none()
+    if postselect:
+        circuit, noise, r = _clean_branch(circuit, noise)
+    dist = _evolve(circuit, noise)
     probs = np.clip(dist.probs, 0.0, None)
+    if postselect:
+        # At p_leak = 0 the leaked cells are exact zeros.
+        probs = r * probs
+        probs[dist.leaked.argmax()] = 1.0 - r
     cells = np.random.default_rng(seed).choice(
         len(probs), size=n_shots, p=probs / probs.sum())
+    if postselect:
+        cells = cells[~dist.leaked[cells]]
     return ShotTable(labels=tuple(dist.labels), outcomes=dist.outcomes[cells],
                      leaked=dist.leaked[cells])
 

@@ -26,8 +26,7 @@ from .estimation import (energy_from_records, entropy_with_ci,
                          projected_entropy, tomogram_from_shots)
 from .gates import rx
 from .mps import BondsimError, DegenerateChannelError
-from .noise import NoiseModel, fold_circuit, leakage_postselect, \
-    zne_extrapolate
+from .noise import NoiseModel, fold_circuit, zne_extrapolate
 from .simulator import sample_shots, simulate_exact
 
 __all__ = [
@@ -178,10 +177,8 @@ def prepare_point(params: AnsatzParams, burn_in_tol: float):
 def _shots(circuit, noise: NoiseModel, cfg: SweepConfig, seed: int) -> tuple:
     """(shots, retention): cfg.shots draws of one circuit, leak-post-selected
     when the config asks for it."""
-    shots = sample_shots(circuit, noise, cfg.shots, seed)
-    if cfg.postselect:
-        return leakage_postselect(shots)
-    return shots, 1.0
+    shots = sample_shots(circuit, noise, cfg.shots, seed, cfg.postselect)
+    return shots, len(shots) / cfg.shots
 
 
 def _energy_point(args):

@@ -203,6 +203,22 @@ def test_shot_floor_checks_every_setting():
         entropy_with_ci(tomo, bootstrap_b=200)
 
 
+def test_empty_folded_setting_is_an_error():
+    """Post-selection can keep no shot of a folded setting: that is a
+    BondsimError, which a sweep turns into an error row."""
+    tomo = sampled_tomogram(shots=200, seed=6)
+    recs = {}
+    for k, setting in enumerate(tomography_settings(1)):
+        c = build_state_prep_circuit(SITE_U, None, J, purpose="tomography",
+                                     setting=setting)
+        shots = sample_shots(c, None, 200, seed=k)
+        recs[setting] = shots[:0] if k == 1 else shots
+    folded = tomogram_from_shots(recs, 1)
+    assert folded.shots_per_setting == 0
+    with pytest.raises(BondsimError, match="kept no shots"):
+        entropy_with_ci(tomo, mitigation=folded, bootstrap_b=100)
+
+
 def test_tomogram_resample_statistics():
     tomo = sampled_tomogram(shots=2000, seed=7)
     sparse = Tomogram(settings={("X", "Z"): np.array([5, 0, 3, 0]),

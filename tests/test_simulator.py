@@ -3,6 +3,7 @@ bond-channel formalism they are supposed to dilate and against closed forms
 of the leak rules."""
 
 from collections import OrderedDict
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +19,7 @@ from bondsim.estimation import energy_from_records
 from bondsim.gates import rx
 from bondsim.kak import NativeCircuitFragment
 from bondsim.mps import BondsimError
-from bondsim.noise import NoiseModel, fold_circuit
+from bondsim.noise import NoiseModel, fold_circuit, leakage_postselect
 from bondsim.simulator import sample_shots, simulate_exact
 from bondsim.sweeps import (SweepConfig, get_params, prepare_point,
                             run_entropy_sweep)
@@ -517,3 +518,77 @@ def test_steps_skip_register_states_without_weight(monkeypatch):
     for circuit in _short_chi4_circuits():
         simulator._evolve(circuit, HEAVY)
     assert len(empty) > 0 and sum(empty) == 0
+
+
+# ---------------------------------------------------------------------------
+# post-selected draws from the clean branch
+
+def _postselect_circuits():
+    """A bundled chi=2 energy circuit and a chi=4 lambda=1.15 tomography
+    circuit with its gauge frame, compiled, base and folded."""
+    return (*list(_point_circuits(1.2, 1))[:2],
+            *list(_point_circuits(1.15, 2))[2:])
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), HEAVY],
+                         ids=["default", "heavy"])
+def test_postselected_draw_is_the_filtered_full_draw(noise):
+    for circuit in _postselect_circuits():
+        for seed in (1, 2):
+            full, retention = leakage_postselect(
+                sample_shots(circuit, noise, 2000, seed))
+            kept = sample_shots(circuit, noise, 2000, seed, postselect=True)
+            assert kept.labels == full.labels
+            assert np.array_equal(kept.outcomes, full.outcomes)
+            assert np.array_equal(kept.leaked, full.leaked)
+            assert len(kept) / 2000 == retention
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), HEAVY],
+                         ids=["default", "heavy"])
+def test_clean_cells_are_r_times_the_leak_free_cells(noise):
+    """In the never-leaked register state each U_zz only multiplies the
+    weight by (1 - p_leak)^2, so the full engine's never-leaked cells are
+    r = (1 - p_leak)^(2 U_zz) times the p_leak = 0 engine's cells."""
+    for circuit in _postselect_circuits():
+        full = simulator._evolve(circuit, noise)
+        clean = simulator._evolve(circuit, replace(noise, p_leak=0.0))
+        r = (1.0 - noise.p_leak) ** (2 * circuit.count_uzz())
+        assert np.array_equal(full.outcomes, clean.outcomes)
+        assert np.array_equal(full.leaked, clean.leaked)
+        assert not clean.probs[clean.leaked].any()
+        never = ~full.leaked
+        assert np.abs(full.probs[never] - r * clean.probs[never]).max() < 1e-12
+
+
+def test_postselected_draw_runs_the_engine_without_leakage(monkeypatch):
+    rates = []
+    evolve = simulator._evolve
+
+    def spy(circuit, noise):
+        rates.append(noise.p_leak)
+        return evolve(circuit, noise)
+
+    monkeypatch.setattr(simulator, "_evolve", spy)
+    for circuit in _postselect_circuits():
+        sample_shots(circuit, HEAVY, 100, seed=1, postselect=True)
+    assert rates == [0.0] * 4
+
+
+def test_postselected_draw_edge_cases():
+    circuit = _postselect_circuits()[0]
+    no_leak = NoiseModel(p_leak=0.0)
+    assert np.array_equal(
+        sample_shots(circuit, no_leak, 500, seed=4, postselect=True).outcomes,
+        sample_shots(circuit, no_leak, 500, seed=4).outcomes)
+    gone = sample_shots(circuit, NoiseModel(p_leak=1.0), 500, seed=4,
+                        postselect=True)
+    assert len(gone) == 0 and gone.labels == tuple(circuit.labels())
+    unchecked = Circuit(n_wires=2, ops=(_native(UZZ01), measure(1, "Z", "m")))
+    for noise in (LEAK_ONLY, NoiseModel.none()):
+        with pytest.raises(ValueError, match="one leak check"):
+            sample_shots(unchecked, noise, 10, postselect=True)
+    late = Circuit(n_wires=2, ops=(leak_check((0, 1), "leak"),
+                                   _native(UZZ01), measure(1, "Z", "m")))
+    with pytest.raises(ValueError, match="after the leak check"):
+        sample_shots(late, LEAK_ONLY, 10, postselect=True)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from bondsim import cli, sweeps
+from bondsim import cli, simulator, sweeps
 from bondsim.ansatz import AnsatzParams
 from bondsim.mps import BondsimError
 from bondsim.noise import NoiseModel, leakage_postselect
@@ -192,13 +192,14 @@ def test_entropy_retention_is_pooled_over_settings(monkeypatch):
     """The row reports kept / attempted over every setting, not the rate of
     the last setting."""
     counts = []
+    draw = sweeps.sample_shots
 
-    def recording(shots, *args, **kwargs):
-        kept, rate = leakage_postselect(shots, *args, **kwargs)
-        counts.append((len(kept), len(shots)))
-        return kept, rate
+    def recording(circuit, noise, n_shots, seed, postselect):
+        kept = draw(circuit, noise, n_shots, seed, postselect)
+        counts.append((len(kept), n_shots))
+        return kept
 
-    monkeypatch.setattr(sweeps, "leakage_postselect", recording)
+    monkeypatch.setattr(sweeps, "sample_shots", recording)
     nm = NoiseModel(p2=0.0, p1=0.0, p_leak=0.01, eps_meas=0.0, eps_reset=0.0)
     cfg = SweepConfig(lambda_grid=(1.2,), shots=400, seed=3, noise=nm,
                       postselect=True, bootstrap_b=100, entropy_oracle=False)
@@ -207,6 +208,33 @@ def test_entropy_retention_is_pooled_over_settings(monkeypatch):
     assert len({kept for kept, _ in counts}) > 1
     assert row["retention"] == (sum(k for k, _ in counts)
                                 / sum(n for _, n in counts))
+
+
+def _full_draw_then_postselect(circuit, noise, n_shots, seed, postselect):
+    """A sweep draw as the full leak-register engine makes it, filtered by
+    the leak column afterwards."""
+    shots = simulator.sample_shots(circuit, noise, n_shots, seed)
+    return leakage_postselect(shots)[0] if postselect else shots
+
+
+@pytest.mark.parametrize("sweep,cfg", [
+    (run_energy_sweep,
+     SweepConfig(lambda_grid=(0.4, 1.2, 2.0), shots=500, seed=7,
+                 noise=NoiseModel(), zne=True, postselect=True)),
+    (run_entropy_sweep,
+     SweepConfig(lambda_grid=(1.15, 1.2), n_b=2, shots=300, seed=7,
+                 noise=NoiseModel(), zne=True, postselect=True,
+                 restricted_tomography=True, bootstrap_b=100,
+                 entropy_oracle=False)),
+])
+def test_postselected_rows_equal_the_filtered_full_draw(sweep, cfg,
+                                                         monkeypatch):
+    """Drawing the kept shots from the clean branch changes no row."""
+    monkeypatch.setenv(WORKER_ENV, "1")
+    rows = sweep(cfg)
+    assert all("error" not in row for row in rows)
+    monkeypatch.setattr(sweeps, "sample_shots", _full_draw_then_postselect)
+    assert sweep(cfg) == rows
 
 
 def _grid_with_failing_point(tmp_path):
